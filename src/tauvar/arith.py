@@ -1,7 +1,7 @@
 """Exact multiplicative-function arithmetic.
 
 Provides:
-- integer factorization (trial division, 64-bit inputs)
+- integer factorization (trial division, 64-bit inputs), divisors, units mod d
 - the k-fold divisor function tau_k, pointwise and as a segmented sieve
 - Euler phi, Moebius mu, and phi_star (the count of primitive characters)
 - generic Dirichlet convolution over the divisors of n
@@ -29,6 +29,7 @@ __all__ = [
     "TauSegment",
     "factorize",
     "divisors",
+    "units",
     "tau_k_of",
     "tau_k_segment",
     "tau_k_segments",
@@ -125,6 +126,14 @@ def divisors(n: int) -> List[int]:
     for p, e in factorize(n).factors:
         ds = [d * p**i for d in ds for i in range(e + 1)]
     return sorted(ds)
+
+
+def units(d: int) -> np.ndarray:
+    """Sorted unit residues mod d (for d = 1 this is [0], the class of every n)."""
+    if d < 1:
+        raise ValueError(f"modulus must be >= 1, got {d}")
+    a = np.arange(d, dtype=np.int64)
+    return a[np.gcd(a, d) == 1] if d > 1 else a
 
 
 def tau_k_of(k: int, n: int) -> int:

@@ -20,15 +20,13 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from .arith import Factorization, euler_phi, factorize, moebius, phi_star
+from .arith import Factorization, divisors, euler_phi, factorize, moebius, phi_star, units
 
 __all__ = [
     "CharacterGroup",
     "DirichletCharacter",
-    "character_group",
     "enumerate_characters",
     "enumerate_primitive",
-    "char_eval",
     "conductor",
     "induce",
     "gauss_sum",
@@ -135,20 +133,6 @@ class CharacterGroup:
             roots[3 * n // 4] = -1j
         return roots
 
-    def units(self) -> np.ndarray:
-        """Sorted unit residues mod d (for d = 1 this is [0], the class of 1)."""
-        if self.d == 1:
-            return np.zeros(1, dtype=np.int64)
-        a = np.arange(self.d, dtype=np.int64)
-        return a[np.gcd(a, self.d) == 1]
-
-    def unit_index(self) -> np.ndarray:
-        """Length-d table: position of each residue in units(), -1 off units."""
-        table = np.full(self.d, -1, dtype=np.int64)
-        us = self.units()
-        table[us] = np.arange(us.size)
-        return table
-
     def log_vectors(self, residues: np.ndarray) -> List[np.ndarray]:
         """Per-component discrete logs of an array of unit residues mod d."""
         out = []
@@ -220,10 +204,6 @@ class DirichletCharacter:
         return 0 if v == 0 else 1
 
     @property
-    def conductor_value(self) -> int:
-        return conductor(self)
-
-    @property
     def is_primitive(self) -> bool:
         return conductor(self) == self.group.d
 
@@ -232,14 +212,6 @@ class DirichletCharacter:
         for m, n in zip(self.exponents, self.group.orders):
             out = lcm(out, n // gcd(n, m))
         return out
-
-    def conjugate(self) -> "DirichletCharacter":
-        exps = tuple((-m) % n for m, n in zip(self.exponents, self.group.orders))
-        return DirichletCharacter(self.group, exps)
-
-
-def character_group(d: int) -> CharacterGroup:
-    return CharacterGroup(d)
 
 
 def enumerate_characters(d: int | CharacterGroup) -> Iterator[DirichletCharacter]:
@@ -254,10 +226,6 @@ def enumerate_primitive(q: int | CharacterGroup) -> Iterator[DirichletCharacter]
     for chi in enumerate_characters(q):
         if chi.is_primitive:
             yield chi
-
-
-def char_eval(chi: DirichletCharacter, n: int) -> complex:
-    return chi(n)
 
 
 def conductor(chi: DirichletCharacter) -> int:
@@ -333,9 +301,9 @@ def gauss_sum(chi: DirichletCharacter) -> complex:
         raise ValueError(f"direct Gauss sum limited to moduli <= {_GAUSS_MAX}")
     if d == 1:
         return 1.0 + 0.0j
-    units = chi.group.units()
-    vals = chi.values_on(units)
-    e = np.exp(2j * np.pi * units / d)
+    us = units(d)
+    vals = chi.values_on(us)
+    e = np.exp(2j * np.pi * us / d)
     return complex(np.sum(vals * e))
 
 
@@ -350,15 +318,8 @@ def primitive_orthogonality_sum(q: int, m: int, n: int) -> int:
         raise ValueError(f"gcd(mn, q) must be 1, got m={m}, n={n}, q={q}")
     diff = m - n
     total = 0
-    for r2 in _divisors_of(q):
+    for r2 in divisors(q):
         if diff % r2 == 0:
             total += moebius(q // r2) * euler_phi(r2)
     assert m != n or total == phi_star(q)
     return total
-
-
-def _divisors_of(n: int) -> List[int]:
-    ds = [1]
-    for p, e in factorize(n).factors:
-        ds = [d * p**i for d in ds for i in range(e + 1)]
-    return ds

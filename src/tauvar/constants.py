@@ -27,7 +27,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .arith import factorize, euler_phi, phi_star, divisors
+from .arith import _check_k, divisors, euler_phi, factorize, phi_star, primes_upto
 from .specfun import barnes_g
 
 __all__ = [
@@ -72,18 +72,13 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"p = {p} is not prime")
 
 
-def _check_k_bound(k: int, bound: int = 16) -> None:
-    if not (1 <= k <= bound):
-        raise ValueError(f"k = {k} outside the supported range 1..{bound}")
-
-
 def local_factor(k: int, p: int, s: float = 1.0, exact: bool = False):
     """L_p(k) at s: (1 - p^-s)^-(2k-1) * sum_{j=0}^{k-1} C(k-1,j)^2 p^(-js).
 
     s = 1 is the value entering a_k(d); integer s with exact=True returns a
     Fraction.  local_factor_series is the independent direct-series route.
     """
-    _check_k_bound(k)
+    _check_k(k)
     _require_prime(p)
     if exact:
         if s != int(s):
@@ -103,7 +98,7 @@ def local_factor_series(k: int, p: int, s: float = 1.0, rel_tail: float = 1e-15)
     is below a geometric bound; truncation stops once that bound is a rel_tail
     fraction of the partial sum.
     """
-    _check_k_bound(k)
+    _check_k(k)
     _require_prime(p)
     ps = float(p) ** s
     total = 0.0
@@ -122,8 +117,6 @@ def local_factor_series(k: int, p: int, s: float = 1.0, rel_tail: float = 1e-15)
 
 
 def _ak_log_sum(k: int, prime_bound: int) -> float:
-    from .arith import primes_upto
-
     ps = primes_upto(prime_bound).astype(np.float64)
     logs = (k - 1) ** 2 * np.log1p(-1.0 / ps)
     poly = np.zeros_like(ps)
@@ -139,7 +132,7 @@ def a_k_value(k: int, prime_bound: int = 10**6) -> ConstantValue:
     Each omitted factor is 1 + O(k^4 / p^2); the reported error bounds the
     log of the omitted product by k^4 * sum_{p > bound} p^-2 <= k^4 / bound.
     """
-    _check_k_bound(k)
+    _check_k(k)
     if prime_bound < 10**3:
         raise ValueError(f"prime_bound must be >= 1000, got {prime_bound}")
     if k == 1:
@@ -166,7 +159,7 @@ def a_k_d(k: int, d: int, prime_bound: int = 10**6) -> ConstantValue:
 
 def gamma_k_simple(k: int, c: float) -> float:
     """gamma_k(c) = (k - c)^(k^2 - 1) / (k^2 - 1)! on its validity range [k-1, k)."""
-    _check_k_bound(k)
+    _check_k(k)
     if not (k - 1 <= c < k):
         raise ValueError(f"c = {c} outside [k-1, k) = [{k - 1}, {k}) where the closed form holds")
     return (k - c) ** (k * k - 1) / factorial(k * k - 1)

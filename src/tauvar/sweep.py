@@ -202,17 +202,17 @@ def _csv_row(report: VarianceReport) -> List[str]:
 
 
 def _run_point(args) -> VarianceReport:
-    k, d, c, cfg_dict = args
+    k, d, c, config = args
     return experiment(
         k,
         d,
         c,
-        cutoff=cfg_dict["cutoff"],
-        gamma_method=cfg_dict["gamma_method"],
-        prime_bound=cfg_dict["prime_bound"],
-        mc_samples=cfg_dict["samples"],
-        mc_seed=cfg_dict["seed"],
-        segment_size=cfg_dict["segment_size"],
+        cutoff=config.cutoff,
+        gamma_method=config.gamma_method,
+        prime_bound=config.prime_bound,
+        mc_samples=config.samples,
+        mc_seed=config.seed,
+        segment_size=config.segment_size,
         workers=1,
     )
 
@@ -236,14 +236,6 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> SweepRe
     result.csv_path = out / "summary.csv"
     result.jsonl_path = out / "results.jsonl"
     points = list(config.points())
-    cfg_dict = {
-        "cutoff": config.cutoff,
-        "gamma_method": config.gamma_method,
-        "prime_bound": config.prime_bound,
-        "samples": config.samples,
-        "seed": config.seed,
-        "segment_size": config.segment_size,
-    }
 
     with open(result.csv_path, "w", newline="") as csv_f, open(
         result.jsonl_path, "w"
@@ -270,7 +262,7 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> SweepRe
 
         if config.workers > 1 and len(points) > 1:
             with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                futures = [pool.submit(_run_point, (k, d, c, cfg_dict)) for (k, d, c) in points]
+                futures = [pool.submit(_run_point, (k, d, c, config)) for (k, d, c) in points]
                 for point, fut in zip(points, futures):
                     try:
                         emit(point, fut.result(), None)
@@ -279,7 +271,7 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> SweepRe
         else:
             for point in points:
                 try:
-                    emit(point, _run_point((*point, cfg_dict)), None)
+                    emit(point, _run_point((*point, config)), None)
                 except Exception as exc:  # noqa: BLE001 - per-point isolation
                     emit(point, None, f"{type(exc).__name__}: {exc}")
 

@@ -22,13 +22,13 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ._version import __version__
-from .arith import DEFAULT_SEGMENT_SIZE, divisors, tau_k_segment
+from .arith import DEFAULT_SEGMENT_SIZE, divisors, tau_k_segment, units
 from .characters import CharacterGroup, enumerate_characters, enumerate_primitive
 from .constants import ConstantValue, a_k_d, gamma_3_piecewise, gamma_k_mc, gamma_k_simple
 from .weights import SmoothWeight, make_bump_weight
@@ -79,19 +79,6 @@ def _sum_range(x: float, cutoff: str) -> Tuple[int, int]:
     raise ValueError(f"cutoff must be 'sharp' or 'smooth', got {cutoff!r}")
 
 
-def _units_of(d: int) -> np.ndarray:
-    """Sorted unit residues mod d (for d = 1: [0], the class of every n)."""
-    a = np.arange(d, dtype=np.int64)
-    return a[np.gcd(a, d) == 1] if d > 1 else a
-
-
-def _unit_index_table(d: int) -> Tuple[np.ndarray, int]:
-    units = _units_of(d)
-    table = np.full(d, -1, dtype=np.int64)
-    table[units] = np.arange(units.size)
-    return table, units.size
-
-
 def _segment_task(args) -> Tuple[int, np.ndarray]:
     """Class sums of one sieve segment; top-level so worker pools can pickle it."""
     (index, k, lo, hi, d, x, cutoff, amplitude, segment_size) = args
@@ -101,10 +88,12 @@ def _segment_task(args) -> Tuple[int, np.ndarray]:
     if cutoff == "smooth":
         w = SmoothWeight(amplitude=amplitude)
         vals = vals * w.values(n / x)
-    unit_index, phi = _unit_index_table(d)
+    us = units(d)
+    unit_index = np.full(d, -1, dtype=np.int64)
+    unit_index[us] = np.arange(us.size)
     idx = unit_index[n % d]
     good = idx >= 0
-    part = np.bincount(idx[good], weights=vals[good], minlength=phi)
+    part = np.bincount(idx[good], weights=vals[good], minlength=us.size)
     return index, part
 
 
@@ -128,6 +117,8 @@ def compute_class_sums(
         raise ValueError(f"modulus must be >= 1, got {d}")
     if x < 1.0:
         raise ValueError(f"X must be >= 1, got {x}")
+    if segment_size < 1:
+        raise ValueError(f"segment_size must be positive, got {segment_size}")
     lo, hi = _sum_range(x, cutoff)
     if hi - lo > SIEVE_BUDGET:
         est = (hi - lo) / _SIEVE_RATE
@@ -142,10 +133,9 @@ def compute_class_sums(
             weight = make_bump_weight()
         amplitude = weight.amplitude
         weight_id = weight.weight_id
-    units = _units_of(d)
-    phi = units.size
-    acc = np.zeros(phi, dtype=np.float64)
-    comp = np.zeros(phi, dtype=np.float64)
+    us = units(d)
+    acc = np.zeros(us.size, dtype=np.float64)
+    comp = np.zeros(us.size, dtype=np.float64)
 
     tasks = []
     for i, s_lo in enumerate(range(lo, hi, segment_size)):
@@ -175,11 +165,36 @@ def compute_class_sums(
         d=d,
         x=x,
         cutoff=cutoff,
-        units=units,
+        units=us,
         sums=acc,
         weight_id=weight_id,
         segment_size=segment_size,
     )
+
+
+def _route_class_sums(
+    k: int,
+    d: int,
+    x: float,
+    cutoff: str,
+    weight: Optional[SmoothWeight],
+    class_sums: Optional[ClassSums],
+    segment_size: int,
+    workers: int,
+) -> ClassSums:
+    """The class sums a variance route works on: the given ones, which must
+    have been built for (k, d, x, cutoff), or freshly computed ones."""
+    if class_sums is None:
+        return compute_class_sums(
+            k, d, x, cutoff, weight, segment_size=segment_size, workers=workers
+        )
+    built_for = (class_sums.k, class_sums.d, class_sums.x, class_sums.cutoff)
+    if built_for != (k, d, x, cutoff):
+        raise ValueError(
+            f"class sums were built for (k, d, x, cutoff) = {built_for}, "
+            f"not {(k, d, x, cutoff)}"
+        )
+    return class_sums
 
 
 def variance_direct(
@@ -194,9 +209,7 @@ def variance_direct(
     workers: int = 1,
 ) -> float:
     """sum over units a of |S_a - (1/phi) sum S_a|^2, from the class sums."""
-    cs = class_sums or compute_class_sums(
-        k, d, x, cutoff, weight, segment_size=segment_size, workers=workers
-    )
+    cs = _route_class_sums(k, d, x, cutoff, weight, class_sums, segment_size, workers)
     mean = cs.total / cs.sums.size
     dev = cs.sums - mean
     return float(np.dot(dev, dev))
@@ -218,9 +231,7 @@ def variance_characters(
     chi is constant on residue classes, so the inner sum is the character
     transform sum_a chi(a) S_a of the class sums.
     """
-    cs = class_sums or compute_class_sums(
-        k, d, x, cutoff, weight, segment_size=segment_size, workers=workers
-    )
+    cs = _route_class_sums(k, d, x, cutoff, weight, class_sums, segment_size, workers)
     group = CharacterGroup(d)
     logs = group.log_vectors(cs.units)
     total = 0.0
@@ -250,9 +261,7 @@ def variance_primitive(
     reduces to unit classes mod d, evaluated through the primitive character
     of the smaller modulus.
     """
-    cs = class_sums or compute_class_sums(
-        k, d, x, cutoff, weight, segment_size=segment_size, workers=workers
-    )
+    cs = _route_class_sums(k, d, x, cutoff, weight, class_sums, segment_size, workers)
     phi = cs.sums.size
     total = 0.0
     for q in divisors(d):
@@ -303,8 +312,12 @@ def main_term(
 ) -> float:
     """The conjectural leading term a_k(d) gamma_k(c) d^c (log d)^(k^2 - 1)."""
     gamma = gamma_eval(k, c, gamma_method, mc_samples=mc_samples, mc_seed=mc_seed)
-    akd = a_k_d(k, d, prime_bound)
-    return akd.value * gamma.value * float(d) ** c * math.log(d) ** (k * k - 1)
+    return _leading_term(k, d, float(d) ** c, a_k_d(k, d, prime_bound), gamma)
+
+
+def _leading_term(k: int, d: int, x: float, akd: ConstantValue, gamma: ConstantValue) -> float:
+    """a_k(d) gamma_k(c) X (log d)^(k^2 - 1) from its evaluated constants, X = d^c."""
+    return akd.value * gamma.value * x * math.log(d) ** (k * k - 1)
 
 
 @dataclass(frozen=True)
@@ -332,27 +345,7 @@ class VarianceReport:
     code_version: str = __version__
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "k": self.k,
-            "d": self.d,
-            "c": self.c,
-            "x": self.x,
-            "cutoff": self.cutoff,
-            "weight_id": self.weight_id,
-            "variance": self.variance,
-            "main_term": self.main_term,
-            "ratio": self.ratio,
-            "a_k_d_value": self.a_k_d_value,
-            "a_k_d_error": self.a_k_d_error,
-            "prime_bound": self.prime_bound,
-            "gamma_method": self.gamma_method,
-            "gamma_value": self.gamma_value,
-            "gamma_error": self.gamma_error,
-            "gamma_params": dict(self.gamma_params),
-            "wall_time_s": self.wall_time_s,
-            "segment_size": self.segment_size,
-            "code_version": self.code_version,
-        }
+        return asdict(self)
 
 
 def experiment(
@@ -381,7 +374,7 @@ def experiment(
     var = variance_direct(k, d, x, cutoff, class_sums=cs)
     gamma = gamma_eval(k, c, gamma_method, mc_samples=mc_samples, mc_seed=mc_seed)
     akd = a_k_d(k, d, prime_bound)
-    mt = akd.value * gamma.value * x * math.log(d) ** (k * k - 1) if d > 1 else 0.0
+    mt = _leading_term(k, d, x, akd, gamma) if d > 1 else 0.0
     ratio = var / mt if mt > 0 else None
     return VarianceReport(
         k=k,

@@ -27,6 +27,7 @@ from .arith import (
     tau_k_of,
     tau_k_segment,
     tau_k_segments,
+    units,
 )
 from .characters import (
     CharacterGroup,
@@ -99,11 +100,11 @@ def _suite_orthogonality() -> SuiteReport:
     worst = 0.0
     for d in range(1, 61):
         group = CharacterGroup(d)
-        units = group.units()
-        logs = group.log_vectors(units)
-        vals = np.array([chi.values_on(units, logs) for chi in enumerate_characters(group)])
+        us = units(d)
+        logs = group.log_vectors(us)
+        vals = np.array([chi.values_on(us, logs) for chi in enumerate_characters(group)])
         gram = vals.conj().T @ vals  # gram[i, j] = sum_chi conj(chi(u_i)) chi(u_j)
-        target = np.eye(units.size) * group.phi
+        target = np.eye(us.size) * group.phi
         worst = max(worst, float(np.max(np.abs(gram - target))))
     rep.add("full-orthogonality-d<=60", worst, 1e-9)
 
@@ -114,9 +115,9 @@ def _suite_orthogonality() -> SuiteReport:
     for q in range(1, 101):
         group = CharacterGroup(q)
         prims = list(enumerate_primitive(group))
-        units = [int(u) for u in group.units()] if q > 1 else [1]
+        us = [int(u) for u in units(q)] if q > 1 else [1]
         for _ in range(20):
-            m, n = (int(units[i]) for i in rng.integers(0, len(units), size=2))
+            m, n = (int(us[i]) for i in rng.integers(0, len(us), size=2))
             formula = primitive_orthogonality_sum(q, m, n)
             brute = sum(chi(m) * np.conj(chi(n)) for chi in prims)
             worst = max(worst, abs(complex(brute) - formula))
@@ -130,10 +131,10 @@ def _suite_orthogonality() -> SuiteReport:
         if sum(phi_star(q) for q in divisors(d)) != euler_phi(d):
             count_ok = False
         group = CharacterGroup(d)
-        units = group.units()
-        logs = group.log_vectors(units)
+        us = units(d)
+        logs = group.log_vectors(us)
         nonprincipal = {
-            tuple(np.round(chi.values_on(units, logs), 9).tolist())
+            tuple(np.round(chi.values_on(us, logs), 9).tolist())
             for chi in enumerate_characters(group)
             if not chi.is_principal
         }
@@ -143,7 +144,7 @@ def _suite_orthogonality() -> SuiteReport:
                 continue
             for chi1 in enumerate_primitive(q):
                 chi = induce(chi1, d)
-                induced.add(tuple(np.round(chi.values_on(units, logs), 9).tolist()))
+                induced.add(tuple(np.round(chi.values_on(us, logs), 9).tolist()))
         if induced != nonprincipal or len(induced) != euler_phi(d) - 1:
             bijection_ok = False
     rep.add_flag("phi-star-decomposition-d<=200", count_ok)

@@ -90,8 +90,6 @@ class SmoothWeight:
     """
 
     amplitude: float
-    support: Tuple[float, float] = (1.0, 2.0)
-    tol: float = 1e-10
 
     def __call__(self, y: float) -> float:
         if y <= 1.0 or y >= 2.0:
@@ -102,7 +100,7 @@ class SmoothWeight:
         return self.amplitude * _bump_shape(y)
 
     def scaled(self, factor: float) -> "SmoothWeight":
-        return SmoothWeight(amplitude=self.amplitude * factor, tol=self.tol)
+        return SmoothWeight(amplitude=self.amplitude * factor)
 
     @property
     def weight_id(self) -> str:

@@ -8,42 +8,16 @@ Run:  pytest tests/test_acceptance.py -v -s
 import math
 import os
 import time
-from fractions import Fraction
-from math import comb, factorial
 
 import numpy as np
 import pytest
 
-from tauvar.arith import divisors, euler_phi, phi_star
-from tauvar.characters import (
-    CharacterGroup,
-    enumerate_characters,
-    enumerate_primitive,
-    gauss_sum,
-    primitive_orthogonality_sum,
-)
-from tauvar.constants import (
-    GAMMA3_PIECEWISE,
-    a_k_d,
-    a_k_value,
-    convolution_compare,
-    g_k,
-    gamma_integral_check,
-    gamma_k_mc,
-    gamma_k_simple,
-    local_factor,
-    local_factor_series,
-)
+from tauvar.constants import a_k_d, a_k_value, g_k, gamma_integral_check, gamma_k_mc, gamma_k_simple
 from tauvar.plotting import emit_plot
 from tauvar.specfun import GammaFactorSpec, gamma_factor_modulus
 from tauvar.sweep import SweepConfig, run_sweep
-from tauvar.variance import (
-    compute_class_sums,
-    experiment,
-    variance_characters,
-    variance_direct,
-    variance_primitive,
-)
+from tauvar.variance import experiment, variance_characters, variance_direct
+from tauvar.verify import run_verify
 
 WORKERS = min(8, os.cpu_count() or 1)
 
@@ -52,25 +26,25 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'}: {name}  {detail}")
 
 
+def verified(*suites: str):
+    """Run the named verify suites: their checks by name, and their total time."""
+    reports = [run_verify(suite) for suite in suites]
+    return {c.name: c for r in reports for c in r.checks}, sum(r.elapsed_s for r in reports)
+
+
+def flags(checks, *names: str):
+    """Pass/fail of the named checks; a name the suites lack raises KeyError."""
+    return {name: checks[name].passed for name in names}
+
+
 def test_criterion_01_three_way_variance_equivalence():
-    start = time.perf_counter()
-    worst = 0.0
-    for k in (2, 3):
-        for d in (4, 12, 35, 60, 101):
-            for x in (1e3, 1e4):
-                for cutoff in ("sharp", "smooth"):
-                    cs = compute_class_sums(k, d, x, cutoff)
-                    v_dir = variance_direct(k, d, x, cutoff, class_sums=cs)
-                    v_chr = variance_characters(k, d, x, cutoff, class_sums=cs)
-                    v_prm = variance_primitive(k, d, x, cutoff, class_sums=cs)
-                    scale = max(abs(v_dir), 1e-300)
-                    worst = max(
-                        worst, abs(v_chr - v_dir) / scale, abs(v_prm - v_dir) / scale
-                    )
-    elapsed = time.perf_counter() - start
-    ok = worst < 1e-9 and elapsed < 120.0
+    checks, elapsed = verified("variance-equivalence")
+    worst = checks["three-way-agreement-grid"].residual
+    others = flags(checks, "zero-variance-at-d=1", "worker-count-independence")
+    ok = worst < 1e-9 and all(others.values()) and elapsed < 120.0
     report(1, "three-way variance equivalence", ok, f"worst rel {worst:.2e}, {elapsed:.1f}s")
     assert worst < 1e-9
+    assert all(others.values()), others
     assert elapsed < 120.0
 
 
@@ -83,28 +57,24 @@ def test_criterion_02_hand_oracle():
 
 
 def test_criterion_03_local_factor_identity():
-    worst = 0.0
-    for k in range(2, 7):
-        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
-            for s in (1.0, 2.0):
-                closed = local_factor(k, p, s)
-                series = local_factor_series(k, p, s)
-                worst = max(worst, abs(closed - series) / series)
+    checks, _ = verified("magic")
+    worst = checks["closed-form-vs-series"].residual
     ok = worst <= 1e-12
     report(3, "local-factor closed form vs direct series", ok, f"worst rel {worst:.2e}")
     assert worst <= 1e-12
 
 
 def test_criterion_04_gamma3_suite():
-    b1, b2, b3 = (br[2] for br in GAMMA3_PIECEWISE.branches)
-    at = lambda coeffs, c: sum(a * c**i for i, a in enumerate(coeffs))
-    cont1 = at(b1, Fraction(1)) == at(b2, Fraction(1))
-    cont2 = at(b2, Fraction(2)) == at(b3, Fraction(2))
-    integral42 = factorial(9) * GAMMA3_PIECEWISE.integral() == 42
-    simple_form = b3 == tuple(
-        Fraction(comb(8, i) * 3 ** (8 - i) * (-1) ** i, factorial(8)) for i in range(9)
-    )
-    ok = cont1 and cont2 and integral42 and simple_form
+    checks, _ = verified("gamma3")
+    cont1, cont2, integral42, simple_form, mc = flags(
+        checks,
+        "continuity-at-1",
+        "continuity-at-2",
+        "nine-factorial-integral-42",
+        "third-branch-equals-simple-form",
+        "mc-vs-simple-3sigma",
+    ).values()
+    ok = cont1 and cont2 and integral42 and simple_form and mc
     report(
         4,
         "gamma_3 piecewise suite (continuity, 42, closed form)",
@@ -112,6 +82,7 @@ def test_criterion_04_gamma3_suite():
         f"cont@1={cont1} cont@2={cont2} 9!int={integral42} branch3={simple_form}",
     )
     assert cont1 and cont2 and integral42 and simple_form
+    assert mc, checks["mc-vs-simple-3sigma"]
 
 
 def test_criterion_05_moment_constants():
@@ -169,34 +140,19 @@ def test_criterion_07_a_k_engine():
 
 
 def test_criterion_08_character_suite():
-    worst_orth = 0.0
-    for d in range(1, 61):
-        group = CharacterGroup(d)
-        units = group.units()
-        logs = group.log_vectors(units)
-        vals = np.array([chi.values_on(units, logs) for chi in enumerate_characters(group)])
-        gram = vals.conj().T @ vals
-        worst_orth = max(worst_orth, float(np.max(np.abs(gram - group.phi * np.eye(units.size)))))
-
-    worst_prim = 0.0
-    rng = np.random.default_rng(37)
-    for q in range(1, 101):
-        prims = list(enumerate_primitive(q))
-        units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
-        for _ in range(20):
-            m, n = (units[i] for i in rng.integers(0, len(units), size=2))
-            brute = sum(chi(m) * np.conj(chi(n)) for chi in prims)
-            worst_prim = max(worst_prim, abs(complex(brute) - primitive_orthogonality_sum(q, m, n)))
-
-    worst_gauss = 0.0
-    for q in range(1, 51):
-        for chi in enumerate_primitive(q):
-            worst_gauss = max(worst_gauss, abs(abs(gauss_sum(chi)) ** 2 - q))
-
-    count_ok = all(
-        sum(phi_star(q) for q in divisors(d)) == euler_phi(d) for d in range(1, 201)
+    checks, _ = verified("orthogonality", "gauss")
+    worst_orth = checks["full-orthogonality-d<=60"].residual
+    worst_prim = checks["primitive-orthogonality-q<=100"].residual
+    worst_gauss = checks["gauss-modulus-primitive-q<=50"].residual
+    count_ok = checks["phi-star-decomposition-d<=200"].passed
+    others = flags(checks, "induction-bijection-d<=200", "parity-consistency-d<=100")
+    ok = (
+        worst_orth < 1e-9
+        and worst_prim < 1e-9
+        and worst_gauss < 1e-10
+        and count_ok
+        and all(others.values())
     )
-    ok = worst_orth < 1e-9 and worst_prim < 1e-9 and worst_gauss < 1e-10 and count_ok
     report(
         8,
         "character suite",
@@ -207,6 +163,7 @@ def test_criterion_08_character_suite():
     assert worst_prim < 1e-9
     assert worst_gauss < 1e-10
     assert count_ok
+    assert all(others.values()), others
 
 
 def test_criterion_09_gamma_factor_unimodular():
@@ -221,14 +178,14 @@ def test_criterion_09_gamma_factor_unimodular():
 
 
 def test_criterion_10_convolution_trend():
-    ok = True
-    details = []
-    for k in (2, 3):
-        gaps = [convolution_compare(k, d)[2] for d in (101, 1009, 10007)]
-        details.append(f"k={k}: {gaps[0]:.2e} > {gaps[1]:.2e} > {gaps[2]:.2e}")
-        ok = ok and gaps[0] > gaps[1] > gaps[2]
+    checks, _ = verified("convolution-trend")
+    trend = flags(checks, "gap-decreasing-k2", "gap-decreasing-k3")
+    details = [f"k={k}: {checks[f'gap-decreasing-k{k}'].detail}" for k in (2, 3)]
+    others = flags(checks, "a_k_d-multiplicativity", "a_k-tail-monotone")
+    ok = all(trend.values()) and all(others.values())
     report(10, "average-vs-pointwise a_k(d) gap shrinks along primes", ok, "; ".join(details))
-    assert ok, details
+    assert all(trend.values()), details
+    assert all(others.values()), others
 
 
 @pytest.fixture(scope="module")

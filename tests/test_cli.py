@@ -80,6 +80,13 @@ def test_variance_subcommand(capsys, tmp_path):
     stored = json.loads(record_file.read_text())
     assert stored["report"]["variance"] == 2.0
 
+    code, _, err = run_cli(
+        capsys, "variance", "--k", "2", "--d", "101", "--c", "1.5", "--cutoff", "sharp",
+        "--segment-size", "-5",
+    )
+    assert code == 2
+    assert "segment_size must be positive" in err
+
 
 def test_verify_known_and_unknown_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "moment")

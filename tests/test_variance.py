@@ -148,6 +148,29 @@ def test_class_sums_independent_of_segment_size():
     assert np.allclose(a.sums, b.sums, rtol=1e-15, atol=0.0)
 
 
+def test_class_sums_reject_nonpositive_segment_size():
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="segment_size must be positive"):
+            compute_class_sums(2, 101, 1000.0, "sharp", segment_size=size)
+        with pytest.raises(ValueError, match="segment_size must be positive"):
+            experiment(2, 101, 1.5, "sharp", segment_size=size)
+
+
+def test_routes_reject_class_sums_built_for_other_arguments():
+    cs = compute_class_sums(2, 7, 1000.0, "sharp")
+    mismatched = [
+        (3, 7, 1000.0, "sharp"),
+        (2, 11, 1000.0, "sharp"),
+        (2, 7, 5.0, "sharp"),
+        (2, 7, 1000.0, "smooth"),
+    ]
+    for route in (variance_direct, variance_characters, variance_primitive):
+        assert route(2, 7, 1000.0, "sharp", class_sums=cs) > 0.0
+        for args in mismatched:
+            with pytest.raises(ValueError, match="class sums were built for"):
+                route(*args, class_sums=cs)
+
+
 def test_sieve_budget_rejected_with_estimate():
     with pytest.raises(ValueError, match="estimated"):
         compute_class_sums(2, 5, float(SIEVE_BUDGET) + 1e6, "sharp")
@@ -195,6 +218,12 @@ def test_experiment_report_fields_and_determinism():
     assert rep1.ratio == rep1.variance / rep1.main_term
     rep2 = experiment(2, 4, 1.6609640474436813, cutoff="sharp")
     d1, d2 = rep1.to_dict(), rep2.to_dict()
+    # the JSONL record schema is these keys in this order
+    assert list(d1) == [
+        "k", "d", "c", "x", "cutoff", "weight_id", "variance", "main_term", "ratio",
+        "a_k_d_value", "a_k_d_error", "prime_bound", "gamma_method", "gamma_value",
+        "gamma_error", "gamma_params", "wall_time_s", "segment_size", "code_version",
+    ]
     d1.pop("wall_time_s"), d2.pop("wall_time_s")
     assert d1 == d2
 
