@@ -96,6 +96,9 @@ class SweepConfig:
             raise ValueError(f"cutoff must be sharp or smooth, got {self.cutoff!r}")
         if self.gamma_method not in ("simple", "piecewise", "mc"):
             raise ValueError(f"unknown gamma method {self.gamma_method!r}")
+        for key in ("segment_size", "workers"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         for k in self.k_list:
             for c in self.c_list:
                 self._check_domain(k, c)

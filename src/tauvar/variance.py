@@ -49,7 +49,12 @@ __all__ = [
 # Largest number of sieve entries a single variance call may stream.
 SIEVE_BUDGET = 2**31
 
-_SIEVE_RATE = 5e6  # entries/second, for cost estimates in error messages
+# Sieve entries per second, for cost estimates in error messages: the
+# median desk-probe.arith.sieve_mentries_per_s in BENCH_4.json (15.2 M/s,
+# 2^22 windows, one worker on a 2-CPU machine, numpy 2.4).  With k >= 3,
+# most of a range past SIEVE_BUDGET lies beyond the strided sieve's exactness
+# bound and runs the division sieve, measured at 3.7 M/s on the same probe.
+_SIEVE_RATE = 1.52e7
 
 
 @dataclass(frozen=True)
@@ -183,7 +188,8 @@ def _route_class_sums(
     workers: int,
 ) -> ClassSums:
     """The class sums a variance route works on: the given ones, which must
-    have been built for (k, d, x, cutoff), or freshly computed ones."""
+    have been built for (k, d, x, cutoff) and for the weight if one is given,
+    or freshly computed ones."""
     if class_sums is None:
         return compute_class_sums(
             k, d, x, cutoff, weight, segment_size=segment_size, workers=workers
@@ -193,6 +199,11 @@ def _route_class_sums(
         raise ValueError(
             f"class sums were built for (k, d, x, cutoff) = {built_for}, "
             f"not {(k, d, x, cutoff)}"
+        )
+    if weight is not None and weight.weight_id != class_sums.weight_id:
+        raise ValueError(
+            f"class sums were built with weight {class_sums.weight_id!r}, "
+            f"not {weight.weight_id!r}"
         )
     return class_sums
 
@@ -316,7 +327,13 @@ def main_term(
 
 
 def _leading_term(k: int, d: int, x: float, akd: ConstantValue, gamma: ConstantValue) -> float:
-    """a_k(d) gamma_k(c) X (log d)^(k^2 - 1) from its evaluated constants, X = d^c."""
+    """a_k(d) gamma_k(c) X (log d)^(k^2 - 1) from its evaluated constants, X = d^c.
+
+    At d = 1 there is a single class and no variance, so the term is 0.0
+    (the formula would give (log 1)^0 = 1 for k = 1).
+    """
+    if d == 1:
+        return 0.0
     return akd.value * gamma.value * x * math.log(d) ** (k * k - 1)
 
 
@@ -374,7 +391,7 @@ def experiment(
     var = variance_direct(k, d, x, cutoff, class_sums=cs)
     gamma = gamma_eval(k, c, gamma_method, mc_samples=mc_samples, mc_seed=mc_seed)
     akd = a_k_d(k, d, prime_bound)
-    mt = _leading_term(k, d, x, akd, gamma) if d > 1 else 0.0
+    mt = _leading_term(k, d, x, akd, gamma)
     ratio = var / mt if mt > 0 else None
     return VarianceReport(
         k=k,

@@ -1,10 +1,14 @@
 """Exact arithmetic core: factorization, tau_k, sieve, phi/mu/phi_star."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tauvar import arith
 from tauvar.arith import (
     DEFAULT_SEGMENT_SIZE,
     MAX_N,
@@ -100,6 +104,10 @@ def test_tau_segment_far_window():
     seg = tau_k_segment(3, lo, lo + 64, segment_cap=64)
     for i in range(64):
         assert int(seg.values[i]) == tau_k_of(3, lo + i)
+    # numpy bounds around a multiple of p^2, p = 5000011, where p^3 > 2^63
+    m = (2**44 // 5000011**2 + 1) * 5000011**2
+    seg = tau_k_segment(2, np.int64(m - 3), np.int64(m + 5))
+    assert [int(v) for v in seg.values] == [tau_k_of(2, n) for n in range(m - 3, m + 5)]
 
 
 def test_segmentation_independence():
@@ -123,6 +131,43 @@ def test_tau_segment_overflow_guard():
     assert tau_k_of(16, n) > 2**62  # exact big-int path keeps working
     with pytest.raises(OverflowError):
         tau_k_segment(16, n, n + 1, segment_cap=16)
+
+
+def _assert_sieve_matches_formula(k, lo, hi):
+    seg = tau_k_segment(k, lo, hi, segment_cap=hi - lo)
+    assert seg.values.dtype == np.uint64
+    assert [int(v) for v in seg.values] == [tau_k_of(k, n) for n in range(lo, hi)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 16), hi=st.integers(2, 5000))
+def test_sieve_property_from_one(k, hi):
+    _assert_sieve_matches_formula(k, 1, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 16),
+    center=st.sampled_from([2**20 * 3**5, 2**27, 3**17, 2**9 * 3**4 * 5**3 * 7**2]),
+    offset=st.integers(-64, 64),
+    width=st.integers(1, 64),
+)
+def test_sieve_property_near_high_prime_powers(k, center, offset, width):
+    lo = center + offset
+    _assert_sieve_matches_formula(k, lo, lo + width)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(2, 16), width=st.integers(1, 12))
+def test_sieve_paths_agree_at_the_float_threshold(k, width):
+    # the strided float path runs while k^floor(log2(hi - 1)) <= 2^44, so
+    # windows ending just below and just above 2^(L+1) take different paths
+    L = max(e for e in range(64) if k**e <= 2**44)
+    edge = 2 ** (L + 1)
+    for hi, strided in ((edge, True), (edge + 1, False)):
+        with mock.patch.object(arith, "_strided_sieve", wraps=arith._strided_sieve) as spy:
+            _assert_sieve_matches_formula(k, hi - width, hi)
+        assert spy.called == strided
 
 
 def test_multiplicativity_property():

@@ -59,6 +59,14 @@ def test_config_validates_gamma_domain():
     SweepConfig(k_list=(3,), d_list=(4,), c_list=(2.5,))  # fine
 
 
+def test_config_rejects_nonpositive_segment_size_and_workers():
+    for key in ("segment_size", "workers"):
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=f"{key} must be >= 1"):
+                parse_config(f"k = 2\nd = 4\nc = 1.5\n{key} = {value}\n")
+    assert parse_config("k = 2\nd = 4\nc = 1.5\nsegment_size = 1\nworkers = 1\n")
+
+
 def test_empty_d_list_gives_header_only_csv(tmp_path):
     cfg = SweepConfig(k_list=(2,), d_list=(), c_list=(1.5,))
     res = run_sweep(cfg, out_dir=tmp_path / "empty")

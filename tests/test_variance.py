@@ -55,9 +55,13 @@ def test_hand_oracle_d3_x8():
 
 
 def test_trivial_modulus_is_zero():
-    for k in (1, 2, 3):
+    # d = 1 has one class: no variance, and main_term and experiment agree on 0.0
+    for k, c in ((1, 0.5), (2, 1.5), (3, 2.5)):
         assert variance_direct(k, 1, 500.0, "sharp") == 0.0
         assert variance_direct(k, 1, 500.0, "smooth") == 0.0
+        assert main_term(k, 1, c, gamma_method="mc", mc_samples=10**4) == 0.0
+        rep = experiment(k, 1, c, "sharp", gamma_method="mc", mc_samples=10**4)
+        assert rep.main_term == 0.0 and rep.ratio is None
 
 
 def test_single_term_sum_mod_2_is_zero():
@@ -164,11 +168,19 @@ def test_routes_reject_class_sums_built_for_other_arguments():
         (2, 7, 5.0, "sharp"),
         (2, 7, 1000.0, "smooth"),
     ]
+    w = make_bump_weight()
+    cs_smooth = compute_class_sums(3, 8, 40.0, "smooth", w)
     for route in (variance_direct, variance_characters, variance_primitive):
         assert route(2, 7, 1000.0, "sharp", class_sums=cs) > 0.0
         for args in mismatched:
             with pytest.raises(ValueError, match="class sums were built for"):
                 route(*args, class_sums=cs)
+        # the weight, when given, must be the one the sums were built with
+        assert route(3, 8, 40.0, "smooth", weight=w, class_sums=cs_smooth) == route(
+            3, 8, 40.0, "smooth", weight=w
+        )
+        with pytest.raises(ValueError, match="class sums were built with weight"):
+            route(3, 8, 40.0, "smooth", weight=w.scaled(2.0), class_sums=cs_smooth)
 
 
 def test_sieve_budget_rejected_with_estimate():
