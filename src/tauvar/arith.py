@@ -9,11 +9,9 @@ Provides:
 tau_k(n) is the number of ordered k-tuples with product n.  On prime powers
 tau_k(p^j) = C(k+j-1, k-1), and tau_k is multiplicative, so every pointwise
 value is a product of binomials over the prime factorization.  The segmented
-sieve computes the same values in bulk without division: for each prime power
-p^j it multiplies the ratio tau_k(p^j)/tau_k(p^(j-1)) = (k+j-1)/j into every
-p^j-th float64 cell, then rounds.  Windows whose values could be too large to
-round exactly fall back to extracting prime exponents by vectorized division
-in uint64 cells.
+sieve computes the same values in bulk with one strided pass per prime power
+p^j: every p^j-th uint64 cell trades its factor tau_k(p^(j-1)) for tau_k(p^j),
+an exact division and multiplication.
 """
 
 from __future__ import annotations
@@ -53,15 +51,8 @@ DEFAULT_SEGMENT_SIZE = 1 << 22
 
 # Shadow threshold for the uint64 sieve: a float64 product tracks the true
 # value to ~1e-13 relative, so anything certified < 2^62 cannot have wrapped.
+# Windows whose values are bounded below it in advance need no shadow.
 _UINT64_SAFE = float(2**62)
-
-# Ceiling under which the strided float64 sieve rounds to exact integers.  An
-# entry of [lo, hi) is a product of at most L = floor(log2(hi - 1)) <= 62
-# factors (k+j-1)/j: each factor is rounded once and each product once, so
-# its relative error is below 2L * 2^-53 * (1 + 1e-14) < 2^-46 and its
-# absolute error below tau_k / 2^46.  rint is exact while that is < 1/2,
-# i.e. tau_k < 2^45; 2^44 leaves a factor of two to spare.
-_FLOAT_EXACT = 2**44
 
 
 @dataclass(frozen=True)
@@ -172,6 +163,14 @@ def primes_upto(n: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
+def _check_range(k: int, lo: int, hi: int) -> None:
+    _check_k(k)
+    if not (1 <= lo < hi):
+        raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
+    if hi - 1 > MAX_N:
+        raise ValueError(f"hi = {hi} exceeds the supported bound 2^63 - 1")
+
+
 def tau_k_segment(
     k: int,
     lo: int,
@@ -182,43 +181,32 @@ def tau_k_segment(
 ) -> TauSegment:
     """Sieve tau_k(n) for all n in [lo, hi).
 
-    The result is independent of how a larger range is cut into segments.
-    Windows whose values are certified small enough run the division-free
-    strided sieve; every other window runs the division sieve, whose float64
-    shadow rejects any value that could reach 2^62 rather than wrapping it.
+    Every n divisible by q = p^j has its factor tau_k(p^(j-1)) = C(k+j-2, k-1)
+    divided out and tau_k(p^j) = C(k+j-1, k-1) multiplied in; both steps are
+    exact in uint64 because the cell already holds that factor.  `found`
+    collects the sieved part of n; what is left is 1 or one prime > sqrt(hi),
+    worth k.  The result is independent of how a larger range is cut into
+    segments.  Windows whose values could reach 2^62 carry a float64 shadow
+    of the same products and raise rather than return a wrapped value.
     """
-    _check_k(k)
-    if not (1 <= lo < hi):
-        raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
-    if hi - 1 > MAX_N:
-        raise ValueError(f"hi = {hi} exceeds the supported bound 2^63 - 1")
+    _check_range(k, lo, hi)
     if hi - lo > segment_cap:
         raise ValueError(
             f"segment of {hi - lo} entries exceeds the cap {segment_cap}; "
             f"use tau_k_segments() to stream larger ranges"
         )
-    lo, hi = int(lo), int(hi)  # prime powers past 2^63 meet lo in Python ints
+    # prime powers past 2^63 meet lo in Python ints; a numpy k would turn
+    # uint64 products into float64
+    k, lo, hi = int(k), int(lo), int(hi)
     ps = primes_upto(isqrt(hi - 1)) if _primes is None else _primes
-    # tau_k(p^e) = prod_{j<=e} (k+j-1)/j <= k^e, so tau_k(n) <= k^Omega(n)
-    # <= k^floor(log2(hi - 1)) on the window: a bound known before sieving.
-    if k ** ((hi - 1).bit_length() - 1) <= _FLOAT_EXACT:
-        values = _strided_sieve(k, lo, hi, ps)
-    else:
-        values = _division_sieve(k, lo, hi, ps)
-    return TauSegment(k=k, lo=lo, hi=hi, values=values)
-
-
-def _strided_sieve(k: int, lo: int, hi: int, ps: np.ndarray) -> np.ndarray:
-    """tau_k on [lo, hi) as float64 products of binomial ratios, then rounded.
-
-    Every n divisible by q = p^j gets the ratio tau_k(p^j)/tau_k(p^(j-1)) =
-    (k+j-1)/j, so an exact power p^e collects tau_k(p^e).  `found` collects
-    the sieved part of n; what is left is 1 or one prime > sqrt(hi), worth k.
-    Exact only where tau_k <= _FLOAT_EXACT, which tau_k_segment certifies.
-    """
     n = hi - lo
-    tau = np.ones(n, dtype=np.float64)
+    # tau_k(p^j) for j = 0..63 covers every exponent a 64-bit n can carry.
+    binom = [comb(k + j - 1, k - 1) for j in range(64)]
+    tau = np.ones(n, dtype=np.uint64)
     found = np.ones(n, dtype=np.int64)
+    # tau_k(p^e) <= k^e, so tau_k(n) <= k^Omega(n) <= k^floor(log2(hi - 1))
+    # on the window: below 2^62 no value can wrap and no shadow is needed.
+    shadow = np.ones(n) if k ** ((hi - 1).bit_length() - 1) >= _UINT64_SAFE else None
     for p in ps:
         p = int(p)
         if p * p >= hi:
@@ -226,57 +214,31 @@ def _strided_sieve(k: int, lo: int, hi: int, ps: np.ndarray) -> np.ndarray:
         # no multiple of p^j in the window means none of p^(j+1) either
         q, j = p, 1
         while (s := -lo % q) < n:
-            tau[s::q] *= (k + j - 1) / j
+            cells = tau[s::q]
+            if j > 1:
+                cells //= binom[j - 1]
+            cells *= binom[j]
             found[s::q] *= p
+            if shadow is not None:
+                shadow[s::q] *= (k + j - 1) / j
             q, j = q * p, j + 1
-    np.multiply(tau, k, out=tau, where=found < np.arange(lo, hi, dtype=np.int64))
-    return np.rint(tau, out=tau).astype(np.uint64)
-
-
-def _division_sieve(k: int, lo: int, hi: int, ps: np.ndarray) -> np.ndarray:
-    """tau_k on [lo, hi) in uint64 cells by extracting prime exponents with
-    vectorized division, guarded by a float64 shadow product."""
-    n = hi - lo
-    # tau_k(p^j) for j = 0..63 covers every exponent a 64-bit n can carry.
-    binom_row = np.array([comb(k + j - 1, k - 1) for j in range(64)], dtype=np.uint64)
-    binom_row_f = binom_row.astype(np.float64)
-    tau = np.ones(n, dtype=np.uint64)
-    shadow = np.ones(n, dtype=np.float64)
-    remaining = np.arange(lo, hi, dtype=np.int64)
-    for p in ps:
-        p = int(p)
-        if p * p >= hi:
-            break
-        start = -(-lo // p) * p
-        idx = np.arange(start - lo, n, p)
-        if idx.size == 0:
-            continue
-        r = remaining[idx] // p
-        e = np.ones(idx.size, dtype=np.int64)
-        sub = np.nonzero(r % p == 0)[0]
-        while sub.size:
-            r[sub] //= p
-            e[sub] += 1
-            sub = sub[r[sub] % p == 0]
-        remaining[idx] = r
-        tau[idx] *= binom_row[e]
-        shadow[idx] *= binom_row_f[e]
-    # leftover cofactor is 1 or a single prime > sqrt(hi)
-    big = remaining > 1
-    tau[big] *= np.uint64(k)
-    shadow[big] *= float(k)
-    if float(shadow.max()) >= _UINT64_SAFE:
-        raise OverflowError(
-            f"tau_{k} exceeds the 64-bit sieve range on [{lo}, {hi}); "
-            f"use tau_k_of for exact big-integer values"
-        )
-    return tau
+    big = found < np.arange(lo, hi, dtype=np.int64)
+    np.multiply(tau, k, out=tau, where=big)
+    if shadow is not None:
+        np.multiply(shadow, k, out=shadow, where=big)
+        if float(shadow.max()) >= _UINT64_SAFE:
+            raise OverflowError(
+                f"tau_{k} exceeds the 64-bit sieve range on [{lo}, {hi}); "
+                f"use tau_k_of for exact big-integer values"
+            )
+    return TauSegment(k=k, lo=lo, hi=hi, values=tau)
 
 
 def tau_k_segments(
     k: int, lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE
 ) -> Iterator[TauSegment]:
     """Stream tau_k over [lo, hi) in ascending windows of segment_size."""
+    _check_range(k, lo, hi)
     if segment_size < 1:
         raise ValueError("segment_size must be positive")
     ps = primes_upto(isqrt(hi - 1))

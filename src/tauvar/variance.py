@@ -51,9 +51,7 @@ SIEVE_BUDGET = 2**31
 
 # Sieve entries per second, for cost estimates in error messages: the
 # median desk-probe.arith.sieve_mentries_per_s in BENCH_4.json (15.2 M/s,
-# 2^22 windows, one worker on a 2-CPU machine, numpy 2.4).  With k >= 3,
-# most of a range past SIEVE_BUDGET lies beyond the strided sieve's exactness
-# bound and runs the division sieve, measured at 3.7 M/s on the same probe.
+# 2^22 windows, one worker on a 2-CPU machine, numpy 2.4).
 _SIEVE_RATE = 1.52e7
 
 
@@ -88,7 +86,7 @@ def _segment_task(args) -> Tuple[int, np.ndarray]:
     """Class sums of one sieve segment; top-level so worker pools can pickle it."""
     (index, k, lo, hi, d, x, cutoff, amplitude, segment_size) = args
     seg = tau_k_segment(k, lo, hi, segment_cap=segment_size)
-    vals = seg.values.astype(np.float64)
+    vals = seg.values  # uint64; promoted to float64 exactly where weighted or summed
     n = np.arange(lo, hi, dtype=np.int64)
     if cutoff == "smooth":
         w = SmoothWeight(amplitude=amplitude)

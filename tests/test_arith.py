@@ -1,6 +1,7 @@
 """Exact arithmetic core: factorization, tau_k, sieve, phi/mu/phi_star."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -124,6 +125,22 @@ def test_tau_segment_rejects_oversize_before_allocating():
         tau_k_segment(2, 10, 10)
 
 
+def test_tau_segments_check_the_range_before_building_primes():
+    refuse = mock.patch.object(arith, "primes_upto", side_effect=AssertionError("sieved primes"))
+    cases = [
+        ((2, 1, 2**70), "exceeds the supported bound 2^63 - 1"),
+        ((2, 10, 5), "need 1 <= lo < hi"),
+        ((2, 5, -3), "need 1 <= lo < hi"),
+        ((2, 0, 5), "need 1 <= lo < hi"),
+        ((0, 1, 5), "k must be a positive integer"),
+        ((17, 1, 5), "exceeds the supported bound 16"),
+    ]
+    with refuse:
+        for args, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                list(tau_k_segments(*args, 4))
+
+
 def test_tau_segment_overflow_guard():
     # tau_16 at 2^4 * 3^2 * (5 * 7 * ... * 43) exceeds 2^62; must raise, not wrap
     n = 2**4 * 3**2 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43
@@ -158,16 +175,14 @@ def test_sieve_property_near_high_prime_powers(k, center, offset, width):
 
 
 @settings(max_examples=30, deadline=None)
-@given(k=st.integers(2, 16), width=st.integers(1, 12))
-def test_sieve_paths_agree_at_the_float_threshold(k, width):
-    # the strided float path runs while k^floor(log2(hi - 1)) <= 2^44, so
-    # windows ending just below and just above 2^(L+1) take different paths
-    L = max(e for e in range(64) if k**e <= 2**44)
-    edge = 2 ** (L + 1)
-    for hi, strided in ((edge, True), (edge + 1, False)):
-        with mock.patch.object(arith, "_strided_sieve", wraps=arith._strided_sieve) as spy:
-            _assert_sieve_matches_formula(k, hi - width, hi)
-        assert spy.called == strided
+@given(k=st.integers(3, 16), width=st.integers(1, 12))
+def test_sieve_matches_formula_at_the_shadow_threshold(k, width):
+    # a window carries a float64 shadow once k^floor(log2(hi - 1)) >= 2^62, so
+    # the window ending at 2^L has none and the one ending at 2^L + 1 has one;
+    # k = 2 is left out, as its edge 2^62 would need primes up to 2^31
+    L = min(e for e in range(64) if k**e >= 2**62)
+    for hi in (2**L, 2**L + 1):
+        _assert_sieve_matches_formula(k, hi - width, hi)
 
 
 def test_multiplicativity_property():

@@ -35,6 +35,14 @@ def test_tau_range_to_file(tmp_path, capsys):
     assert path.read_text().splitlines() == ["1,1", "2,3", "3,3", "4,6"]
 
 
+def test_tau_range_rejects_empty_and_negative_ranges(capsys):
+    for lo, hi in (("10", "5"), ("5", "-3")):
+        code, out, err = run_cli(capsys, "tau", "--k", "2", lo, hi)
+        assert code == 2
+        assert out == ""
+        assert "need 1 <= lo < hi" in err
+
+
 def test_constants_json(capsys):
     code, out, _ = run_cli(
         capsys, "constants", "--k", "2", "--d", "3", "--prime-bound", "100000"

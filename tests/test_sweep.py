@@ -1,6 +1,8 @@
 """Sweep configuration parsing, persistence, determinism."""
 
 import csv
+import re
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,13 @@ def test_parse_config_round_trip(tmp_path):
     path = tmp_path / "sweep.cfg"
     path.write_text(GOOD_CONFIG)
     assert load_config(path) == cfg
+
+
+def test_readme_demo_config_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"Sweep configs are flat `key = value` text:\n\n```\n(.*?)```", readme, re.S)
+    assert block is not None, "README lost its demo sweep config"
+    assert len(list(parse_config(block.group(1)).points())) > 0
 
 
 def test_parse_config_prime_generator():
