@@ -160,7 +160,7 @@ def primes_upto(n: int) -> np.ndarray:
     for p in range(2, isqrt(n) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    return np.flatnonzero(mask)
 
 
 def _check_range(k: int, lo: int, hi: int) -> None:

@@ -6,6 +6,10 @@ root), the residue 3 for modulus 4, and the pair (-1, 5) for 2^e with e >= 3.
 Values are roots of unity taken from a single precomputed table of the
 group-exponent order, so repeated-angle arithmetic never drifts.
 
+Whole-group work runs on the grid of exponent vectors, of shape `orders`:
+`transform` gives sum_a conj(chi(a)) v_a for every chi by one FFT, and
+`conductors` holds every conductor as an lcm of per-factor rules.
+
 Discrete-log tables are built per prime-power component at construction
 time, which bounds usable moduli (10^7 by default) but makes evaluation a
 table lookup plus integer arithmetic.
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from math import gcd, lcm
 from typing import Iterator, List, Tuple
 
@@ -135,10 +140,39 @@ class CharacterGroup:
 
     def log_vectors(self, residues: np.ndarray) -> List[np.ndarray]:
         """Per-component discrete logs of an array of unit residues mod d."""
-        out = []
+        residues = np.asarray(residues, dtype=np.int64)
+        return [c.dlog[residues % c.modulus] for c in self.components]
+
+    def transform(self, residues: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """sum_a conj(chi(a)) v_a for every chi, on the exponent grid of shape `orders`.
+
+        Repeated residues add up, so values on units mod a multiple of d may
+        be passed reduced mod d.  The entry at exponent vector m is the one
+        for DirichletCharacter(self, m).
+        """
+        residues = np.asarray(residues, dtype=np.int64)
+        if np.any(np.gcd(residues, self.d) != 1):
+            raise ValueError(f"transform needs unit residues mod {self.d}")
+        flat = np.zeros(residues.size, dtype=np.int64)
+        for o, lv in zip(self.orders, self.log_vectors(residues)):
+            flat = flat * o + lv
+        grid = np.bincount(flat, weights=values, minlength=self.phi)
+        return np.fft.fftn(grid.reshape(self.orders))
+
+    @cached_property
+    def conductors(self) -> np.ndarray:
+        """Conductor of every character, on the exponent grid of shape `orders`.
+
+        A character of order o > 1 on the factor mod p^e needs p * gcd(o, p^e),
+        twice that on the <5> factor of (Z/2^e)*, and the conductor is the lcm
+        over the factors; the tests check it against the minimal-f definition.
+        """
+        needs = []
         for c in self.components:
-            out.append(c.dlog[np.asarray(residues, dtype=np.int64) % c.modulus])
-        return out
+            o = c.order // np.gcd(c.order, np.arange(c.order))
+            twice = 2 if c.p == 2 and c.generator == 5 else 1
+            needs.append(np.where(o > 1, twice * c.p * np.gcd(o, c.modulus), 1))
+        return reduce(np.lcm.outer, needs, np.ones((), dtype=np.int64))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"CharacterGroup(d={self.d}, orders={self.orders})"
@@ -184,14 +218,12 @@ class DirichletCharacter:
             return 0.0 + 0.0j
         return complex(self.group.roots[idx])
 
-    def values_on(self, residues: np.ndarray, logs: List[np.ndarray] | None = None) -> np.ndarray:
+    def values_on(self, residues: np.ndarray) -> np.ndarray:
         """Vectorized values on an array of unit residues mod d."""
         g = self.group
-        if logs is None:
-            logs = g.log_vectors(residues)
         lam = g.exponent
         idx = np.zeros(len(np.asarray(residues)), dtype=np.int64)
-        for m, c, lv in zip(self.exponents, g.components, logs):
+        for m, c, lv in zip(self.exponents, g.components, g.log_vectors(residues)):
             idx += m * (lam // c.order) * lv
         return g.roots[idx % lam]
 
@@ -229,38 +261,8 @@ def enumerate_primitive(q: int | CharacterGroup) -> Iterator[DirichletCharacter]
 
 
 def conductor(chi: DirichletCharacter) -> int:
-    """Least f | d such that chi is trivial on units congruent to 1 mod f.
-
-    Computed componentwise from the order of chi on each cyclic factor; the
-    tests check this against the brute-force minimal-f definition.
-    """
-    g = chi.group
-    f = 1
-    i = 0
-    comps = g.components
-    while i < len(comps):
-        c = comps[i]
-        if c.p == 2 and c.e >= 3:
-            m_minus, m_five = chi.exponents[i], chi.exponents[i + 1]
-            order5 = comps[i + 1].order
-            o5 = order5 // gcd(order5, m_five)
-            if o5 == 1:
-                f *= 1 if m_minus == 0 else 4
-            else:
-                v = o5.bit_length() - 1  # o5 = 2^v, v >= 1
-                f *= 1 << (v + 2)
-            i += 2
-            continue
-        m = chi.exponents[i]
-        if m != 0:
-            o = c.order // gcd(c.order, m)
-            vp = 0
-            while o % c.p == 0:
-                o //= c.p
-                vp += 1
-            f *= c.p ** (vp + 1)
-        i += 1
-    return f
+    """Least f | d such that chi is trivial on units congruent to 1 mod f."""
+    return int(chi.group.conductors[chi.exponents])
 
 
 def induce(chi1: DirichletCharacter, d: int) -> DirichletCharacter:

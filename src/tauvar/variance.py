@@ -10,8 +10,11 @@ variance sum_a* |S_a - mean|^2 is then formed three ways:
 - as (1/phi(d)) sum over factorizations d = q r with q > 1 and primitive
   characters mod q of the same square (character induction identity).
 
-All three are exact algebra over the same class sums, so agreement to
-near machine precision is a strong check of the character machinery.
+Both character routes take one FFT of the deviations S_a - mean over the
+exponent grid (`CharacterGroup.transform`); the primitive route folds them
+mod each q | d and keeps the entries of conductor q.  All three are exact
+algebra over the same class sums, so agreement to near machine precision is
+a strong check of the character machinery.
 
 Class sums are merged across segments in ascending order with Kahan
 compensation, which makes every result independent of the worker count.
@@ -29,7 +32,7 @@ import numpy as np
 
 from ._version import __version__
 from .arith import DEFAULT_SEGMENT_SIZE, divisors, tau_k_segment, units
-from .characters import CharacterGroup, enumerate_characters, enumerate_primitive
+from .characters import CharacterGroup
 from .constants import ConstantValue, a_k_d, gamma_3_piecewise, gamma_k_mc, gamma_k_simple
 from .weights import SmoothWeight, make_bump_weight
 
@@ -206,6 +209,11 @@ def _route_class_sums(
     return class_sums
 
 
+def _deviations(cs: ClassSums) -> np.ndarray:
+    """S_a minus the mean; every nonprincipal character sums the mean to zero."""
+    return cs.sums - cs.total / cs.sums.size
+
+
 def variance_direct(
     k: int,
     d: int,
@@ -219,8 +227,7 @@ def variance_direct(
 ) -> float:
     """sum over units a of |S_a - (1/phi) sum S_a|^2, from the class sums."""
     cs = _route_class_sums(k, d, x, cutoff, weight, class_sums, segment_size, workers)
-    mean = cs.total / cs.sums.size
-    dev = cs.sums - mean
+    dev = _deviations(cs)
     return float(np.dot(dev, dev))
 
 
@@ -238,18 +245,14 @@ def variance_characters(
     """(1/phi(d)) sum over nonprincipal chi of |sum_n tau_k(n) chi(n) omega(n)|^2.
 
     chi is constant on residue classes, so the inner sum is the character
-    transform sum_a chi(a) S_a of the class sums.
+    transform of the class sums.  One FFT over the exponent grid gives it for
+    every chi; the deviations from the mean stand in for S_a, which leaves
+    each nonprincipal term unchanged and zeroes the principal one, skipped.
     """
     cs = _route_class_sums(k, d, x, cutoff, weight, class_sums, segment_size, workers)
     group = CharacterGroup(d)
-    logs = group.log_vectors(cs.units)
-    total = 0.0
-    for chi in enumerate_characters(group):
-        if chi.is_principal:
-            continue
-        t = complex(np.dot(chi.values_on(cs.units, logs), cs.sums))
-        total += t.real * t.real + t.imag * t.imag
-    return total / group.phi
+    power = np.abs(group.transform(cs.units, _deviations(cs))) ** 2
+    return float(np.sum(power.ravel()[1:])) / group.phi
 
 
 def variance_primitive(
@@ -267,22 +270,17 @@ def variance_primitive(
     |sum_{(n,r)=1} tau_k(n) chi1(n) omega(n)|^2.
 
     Terms with gcd(n, q) > 1 vanish through chi1, so the inner sum again
-    reduces to unit classes mod d, evaluated through the primitive character
-    of the smaller modulus.
+    reduces to unit classes mod d.  The deviations folded mod q take one FFT
+    over the characters mod q, and the entries of conductor q are kept.
     """
     cs = _route_class_sums(k, d, x, cutoff, weight, class_sums, segment_size, workers)
-    phi = cs.sums.size
+    dev = _deviations(cs)
     total = 0.0
-    for q in divisors(d):
-        if q == 1:
-            continue
+    for q in divisors(d)[1:]:
         group_q = CharacterGroup(q)
-        residues_q = cs.units % q
-        logs_q = group_q.log_vectors(residues_q)
-        for chi1 in enumerate_primitive(group_q):
-            t = complex(np.dot(chi1.values_on(residues_q, logs_q), cs.sums))
-            total += t.real * t.real + t.imag * t.imag
-    return total / phi
+        power = np.abs(group_q.transform(cs.units % q, dev)) ** 2
+        total += float(np.sum(power[group_q.conductors == q]))
+    return total / cs.sums.size
 
 
 def gamma_eval(

@@ -130,9 +130,29 @@ def test_conductor_examples():
 
 
 def test_conductor_matches_brute_force():
-    for d in list(range(1, 41)) + [48, 56, 63, 80]:
+    for d in list(range(1, 41)) + [48, 56, 63, 64, 80, 81, 125]:
         for chi in enumerate_characters(d):
             assert conductor(chi) == brute_conductor(chi), (d, chi.exponents)
+
+
+def test_transform_matches_character_sums():
+    # every coefficient on its own: a wrong discrete-log order or scatter
+    # would keep the sum of |t|^2 but move or mix the entries
+    rng = np.random.default_rng(23)
+
+    def check(q, residues):
+        v = rng.standard_normal(residues.size)
+        t = CharacterGroup(q).transform(residues, v)
+        for chi in enumerate_characters(q):
+            want = np.sum(np.conj(chi.values_on(residues)) * v)
+            assert abs(t[chi.exponents] - want) < 1e-12 * np.abs(v).sum(), (q, chi.exponents)
+
+    for d in range(1, 61):
+        check(d, units(d))
+    for q in divisors(60):  # units mod 60 folded mod q: residues repeat
+        check(q, units(60) % q)
+    with pytest.raises(ValueError, match="unit residues"):
+        CharacterGroup(12).transform(np.array([1, 4]), np.ones(2))
 
 
 def test_induce_values_and_errors():

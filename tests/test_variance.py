@@ -118,6 +118,8 @@ def test_three_way_equivalence_sample():
         (2, 35, 1e4, "smooth"),
         (3, 60, 1e3, "sharp"),
         (2, 101, 1e3, "smooth"),
+        (2, 27720, 27720**1.2, "sharp"),
+        (2, 100003, 100003**1.1, "sharp"),
     ]:
         cs = compute_class_sums(k, d, x, cutoff)
         v_dir = variance_direct(k, d, x, cutoff, class_sums=cs)
