@@ -11,13 +11,15 @@ tau_k(p^j) = C(k+j-1, k-1), and tau_k is multiplicative, so every pointwise
 value is a product of binomials over the prime factorization.  The segmented
 sieve computes the same values in bulk with one strided pass per prime power
 p^j: every p^j-th uint64 cell trades its factor tau_k(p^(j-1)) for tau_k(p^j),
-an exact division and multiplication.
+an exact division and multiplication, and adds a rounded, scaled log2 p to a
+uint8 log cell.  A log cell that ends short of log2 n marks the one prime
+factor above sqrt(hi) the pass cannot reach; that cell is multiplied by k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import comb, isqrt, log2
 from typing import Callable, Iterator, List, Tuple
 
 import numpy as np
@@ -183,11 +185,12 @@ def tau_k_segment(
 
     Every n divisible by q = p^j has its factor tau_k(p^(j-1)) = C(k+j-2, k-1)
     divided out and tau_k(p^j) = C(k+j-1, k-1) multiplied in; both steps are
-    exact in uint64 because the cell already holds that factor.  `found`
-    collects the sieved part of n; what is left is 1 or one prime > sqrt(hi),
-    worth k.  The result is independent of how a larger range is cut into
-    segments.  Windows whose values could reach 2^62 carry a float64 shadow
-    of the same products and raise rather than return a wrapped value.
+    exact in uint64 because the cell already holds that factor.  A uint8 log
+    cell beside it sums a rounded, scaled log2 p on every hit; a cell whose
+    sum falls short of log2 n keeps one prime factor > sqrt(hi), worth k.
+    The result is independent of how a larger range is cut into segments.
+    Windows whose values could reach 2^62 carry a float64 shadow of the same
+    products and raise rather than return a wrapped value.
     """
     _check_range(k, lo, hi)
     if hi - lo > segment_cap:
@@ -199,18 +202,38 @@ def tau_k_segment(
     # uint64 products into float64
     k, lo, hi = int(k), int(lo), int(hi)
     ps = primes_upto(isqrt(hi - 1)) if _primes is None else _primes
+    ps = ps[: np.searchsorted(ps, isqrt(hi - 1), side="right")]
     n = hi - lo
     # tau_k(p^j) for j = 0..63 covers every exponent a 64-bit n can carry.
     binom = [comb(k + j - 1, k - 1) for j in range(64)]
     tau = np.ones(n, dtype=np.uint64)
-    found = np.ones(n, dtype=np.int64)
     # tau_k(p^e) <= k^e, so tau_k(n) <= k^Omega(n) <= k^floor(log2(hi - 1))
     # on the window: below 2^62 no value can wrap and no shadow is needed.
     shadow = np.ones(n) if k ** ((hi - 1).bit_length() - 1) >= _UINT64_SAFE else None
-    for p in ps:
-        p = int(p)
-        if p * p >= hi:
-            break
+    # The log test.  Write n = f P, f the part of n made of sieved primes
+    # (p^2 < hi) and P the rest: 1 or one prime with P^2 >= hi, as two such
+    # would exceed n.  Every hit on p^j adds r(p) = round(s log2 p) to the
+    # cell of n, which ends at c = sum over p^e || f of e r(p).  Each of the
+    # Omega(f) <= log2 f hits is off by at most 1/2 (plus ~1e-13 of float
+    # error in log2, ignored below), so |c - s log2 f| <= (log2 f) / 2.
+    # - No wrap.  With B = bitlen(hi) and s = floor((480 - B) / 2B),
+    #   c <= (s + 1/2) log2 f < (s + 1/2) B <= 240, for every 2 <= hi <= 2^63.
+    # - No flip.  With L = log2 hi,
+    #     P = 1:  c >= s log2 n - (log2 n) / 2 > s log2 n - L/2,
+    #     P > 1:  log2 P >= L/2 and log2 f <= L/2, so c <= s log2 n - sL/2 + L/4.
+    #   The threshold is constant on slices [a, b) of the window with
+    #   (b - 1) / a <= 9/8, over which s log2 n moves by delta <= s log2(9/8).
+    #   There the P = 1 cells are >= s log2 a - L/2 and the P > 1 cells are
+    #   <= s log2(b - 1) - sL/2 + L/4, a gap of (s/2 - 3/4) L - delta.  The
+    #   threshold t is its midpoint rounded, and with L >= B - 1 every bit
+    #   length B = 2..64 leaves at least ((s/2 - 3/4)(B - 1) - delta)/2 - 1/2
+    #   >= 18 units between t and either side (18.8 at B = 2, s = 119; 19.1
+    #   at B = 54, the first with s = 3).  So c < t exactly when P > 1.
+    bits = hi.bit_length()
+    scale = (480 - bits) // (2 * bits)
+    logs = np.zeros(n, dtype=np.uint8)
+    lps = np.rint(scale * np.log2(ps)).astype(np.int64).tolist()
+    for p, lp in zip(ps.tolist(), lps):
         # no multiple of p^j in the window means none of p^(j+1) either
         q, j = p, 1
         while (s := -lo % q) < n:
@@ -218,11 +241,19 @@ def tau_k_segment(
             if j > 1:
                 cells //= binom[j - 1]
             cells *= binom[j]
-            found[s::q] *= p
+            logs[s::q] += lp
             if shadow is not None:
                 shadow[s::q] *= (k + j - 1) / j
             q, j = q * p, j + 1
-    big = found < np.arange(lo, hi, dtype=np.int64)
+    big = np.empty(n, dtype=bool)
+    drop = (scale / 4 + 1 / 8) * log2(hi)
+    a = lo
+    while a < hi:
+        b = min(hi, a + a // 8 + 1)
+        t = round(scale * (log2(a) + log2(b - 1)) / 2 - drop)
+        # t <= 0 leaves no cell below it; a negative scalar cannot meet uint8
+        np.less(logs[a - lo : b - lo], max(t, 0), out=big[a - lo : b - lo])
+        a = b
     np.multiply(tau, k, out=tau, where=big)
     if shadow is not None:
         np.multiply(shadow, k, out=shadow, where=big)

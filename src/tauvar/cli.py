@@ -9,8 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
-from pathlib import Path
+from itertools import chain
 from typing import List, Optional
 
 from ._version import __version__
@@ -88,15 +89,11 @@ def _cmd_tau(args) -> int:
     if args.hi is None:
         print(json.dumps({"k": args.k, "n": args.lo, "tau": tau_k_of(args.k, args.lo)}))
         return 0
-    lines: List[str] = []
-    for seg in tau_k_segments(args.k, args.lo, args.hi):
-        for offset, v in enumerate(seg.values.tolist()):
-            lines.append(f"{seg.lo + offset},{v}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    segments = tau_k_segments(args.k, args.lo, args.hi)
+    first = next(segments)  # a bad range raises here, before --out is created
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+        for seg in chain([first], segments):
+            out.write("".join(f"{seg.lo + i},{v}\n" for i, v in enumerate(seg.values.tolist())))
     return 0
 
 

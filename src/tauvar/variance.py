@@ -16,8 +16,10 @@ mod each q | d and keeps the entries of conductor q.  All three are exact
 algebra over the same class sums, so agreement to near machine precision is
 a strong check of the character machinery.
 
-Class sums are merged across segments in ascending order with Kahan
-compensation, which makes every result independent of the worker count.
+Each segment lays its window out as a zero-padded (rows, d) grid, column j
+holding the n = j mod d, and sums the rows in order, so every class adds in
+ascending n.  Class sums are merged across segments in ascending order with
+Kahan compensation, which makes every result independent of the worker count.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ._version import __version__
-from .arith import DEFAULT_SEGMENT_SIZE, divisors, tau_k_segment, units
+from .arith import DEFAULT_SEGMENT_SIZE, divisors, primes_upto, tau_k_segment, units
 from .characters import CharacterGroup
 from .constants import ConstantValue, a_k_d, gamma_3_piecewise, gamma_k_mc, gamma_k_simple
 from .weights import SmoothWeight, make_bump_weight
@@ -53,9 +55,9 @@ __all__ = [
 SIEVE_BUDGET = 2**31
 
 # Sieve entries per second, for cost estimates in error messages: the
-# median desk-probe.arith.sieve_mentries_per_s in BENCH_4.json (15.2 M/s,
+# median desk-probe.arith.sieve_mentries_per_s in BENCH_7.json (27.3 M/s,
 # 2^22 windows, one worker on a 2-CPU machine, numpy 2.4).
-_SIEVE_RATE = 1.52e7
+_SIEVE_RATE = 2.73e7
 
 
 @dataclass(frozen=True)
@@ -87,20 +89,25 @@ def _sum_range(x: float, cutoff: str) -> Tuple[int, int]:
 
 def _segment_task(args) -> Tuple[int, np.ndarray]:
     """Class sums of one sieve segment; top-level so worker pools can pickle it."""
-    (index, k, lo, hi, d, x, cutoff, amplitude, segment_size) = args
-    seg = tau_k_segment(k, lo, hi, segment_cap=segment_size)
-    vals = seg.values  # uint64; promoted to float64 exactly where weighted or summed
-    n = np.arange(lo, hi, dtype=np.int64)
+    (index, k, lo, hi, d, x, cutoff, amplitude, segment_size, primes) = args
+    tau = tau_k_segment(k, lo, hi, segment_cap=segment_size, _primes=primes).values
+    # The window, row by row in a zero-padded (rows, d) grid: column j holds
+    # the n = j mod d in ascending order.
+    start = lo % d
+    rows = -(-(start + hi - lo) // d)
+    grid = np.zeros(rows * d)
+    window = grid[start : start + hi - lo]
     if cutoff == "smooth":
-        w = SmoothWeight(amplitude=amplitude)
-        vals = vals * w.values(n / x)
-    us = units(d)
-    unit_index = np.full(d, -1, dtype=np.int64)
-    unit_index[us] = np.arange(us.size)
-    idx = unit_index[n % d]
-    good = idx >= 0
-    part = np.bincount(idx[good], weights=vals[good], minlength=us.size)
-    return index, part
+        y = np.arange(lo, hi, dtype=np.float64)  # exact: the budget keeps n < 2^33
+        y /= x
+        np.multiply(tau, SmoothWeight(amplitude=amplitude).values(y), out=window)
+    else:
+        window[:] = tau
+    # Summing the rows one after another adds each class in ascending n, as
+    # bincount does; numpy would sum a lone column (d = 1) pairwise instead,
+    # so that one takes the running sum.
+    sums = grid.reshape(rows, d).sum(axis=0) if d > 1 else np.cumsum(grid)[-1:]
+    return index, sums[units(d)]
 
 
 def compute_class_sums(
@@ -125,6 +132,8 @@ def compute_class_sums(
         raise ValueError(f"X must be >= 1, got {x}")
     if segment_size < 1:
         raise ValueError(f"segment_size must be positive, got {segment_size}")
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
     lo, hi = _sum_range(x, cutoff)
     if hi - lo > SIEVE_BUDGET:
         est = (hi - lo) / _SIEVE_RATE
@@ -143,10 +152,11 @@ def compute_class_sums(
     acc = np.zeros(us.size, dtype=np.float64)
     comp = np.zeros(us.size, dtype=np.float64)
 
+    primes = primes_upto(math.isqrt(hi - 1))
     tasks = []
     for i, s_lo in enumerate(range(lo, hi, segment_size)):
         s_hi = min(s_lo + segment_size, hi)
-        tasks.append((i, k, s_lo, s_hi, d, x, cutoff, amplitude, segment_size))
+        tasks.append((i, k, s_lo, s_hi, d, x, cutoff, amplitude, segment_size, primes))
 
     def _merge(part: np.ndarray) -> None:
         # Kahan step, elementwise per class

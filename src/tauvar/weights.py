@@ -72,13 +72,19 @@ def _tanh_sinh_nodes(level: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _bump_shape(y: np.ndarray) -> np.ndarray:
-    """exp(-1/((y-1)(2-y))) on (1,2), 0 elsewhere; amplitude-free bump."""
+    """exp(-1/((y-1)(2-y))) on (1,2), 0 elsewhere; amplitude-free bump.
+
+    For y in (1, 2) both factors are exact and at least 2^-52, so their
+    product is positive; elsewhere (NaN included) it is not, so the sign of
+    the product is the support test.  Far out it overflows to -inf: still 0.
+    """
     y = np.asarray(y, dtype=np.float64)
-    out = np.zeros_like(y)
-    inside = (y > 1.0) & (y < 2.0)
-    yi = y[inside]
-    out[inside] = np.exp(-1.0 / ((yi - 1.0) * (2.0 - yi)))
-    return out
+    t = np.subtract(y, 1.0, out=np.empty_like(y))
+    with np.errstate(over="ignore"):
+        t *= 2.0 - y
+    inside = t > 0.0
+    np.divide(-1.0, t, out=t, where=inside)
+    return np.exp(t, out=np.zeros_like(y), where=inside)
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,9 @@ class SmoothWeight:
         return self.amplitude * math.exp(-1.0 / ((y - 1.0) * (2.0 - y)))
 
     def values(self, y: np.ndarray) -> np.ndarray:
-        return self.amplitude * _bump_shape(y)
+        out = _bump_shape(y)
+        out *= self.amplitude
+        return out
 
     def scaled(self, factor: float) -> "SmoothWeight":
         return SmoothWeight(amplitude=self.amplitude * factor)

@@ -185,6 +185,81 @@ def test_sieve_matches_formula_at_the_shadow_threshold(k, width):
         _assert_sieve_matches_formula(k, hi - width, hi)
 
 
+def _is_prime(n):
+    return n > 1 and factorize(n).factors == ((n, 1),)
+
+
+def _prev_prime(n):
+    n -= 1
+    while not _is_prime(n):
+        n -= 1
+    return n
+
+
+def _next_prime(n):
+    while not _is_prime(n):
+        n += 1
+    return n
+
+
+def test_log_test_on_tight_semiprimes():
+    # n = p q with p < q consecutive primes, at the top of a window ending at
+    # n + 1: q is the least prime with q^2 >= hi, so the unsieved factor is as
+    # small as the log test allows and the log cell as short of log2 n as it
+    # can be while still flagged
+    for q in (_next_prime(2**5), _next_prime(1000), _next_prime(2**14), _next_prime(2**17)):
+        p = _prev_prime(q)
+        n = p * q
+        assert p * p < n + 1 <= q * q
+        for k in (2, 3, 7, 16):
+            _assert_sieve_matches_formula(k, n - 15, n + 1)
+
+
+def test_log_test_on_the_cells_with_most_hits():
+    # high powers of 2 and 3 times small primes: the most log hits a cell can
+    # take, each one rounding the same way, with and without a prime > sqrt(hi)
+    cells = [2**23, 3**14, 2**12 * 3**7, 2**10 * 3**5 * 5**2 * 7, 7**8, 3**9 * 1009]
+    for n in cells:
+        for k in (2, 3, 16):
+            _assert_sieve_matches_formula(k, max(1, n - 20), n + 21)
+
+
+def test_log_test_near_2_62():
+    # Windows of one cell from 2^54 to 2^63, where s = 3 log units per bit,
+    # for k = 3..16.  At s = 3, hits on 3, 19, 23 and 29 round up by 0.25 to 0.43
+    # units each and hits on 7, 11 and 13 round down by 0.1 to 0.42: each
+    # prime is tried alone (P = 1) and beside the least prime P > f^e.  p q
+    # is the tight semiprime of the test above.  Only primes dividing n touch
+    # its cell, so the sieve gets just the one below sqrt(hi) (the full list
+    # up to 2^31 would take gigabytes), and the expected value is tau_k over
+    # the known factorization (tau_k_of(p q) would trial-divide to 2^31).
+    q = _next_prime(2**31)
+    p = _prev_prime(q)
+    cases = [({p: 1, q: 1}, p)]
+    for f in (3, 7, 11, 13, 19, 23, 29):
+        e = int(math.log(MAX_N, f))
+        while f**e > MAX_N:
+            e -= 1
+        cases.append(({f: e}, f))
+        e = 1
+        while f ** (e + 1) * _next_prime(f ** (e + 1) + 1) <= MAX_N:
+            e += 1
+        cases.append(({f: e, _next_prime(f**e + 1): 1}, f))
+    for factors, sieved in cases:
+        n = math.prod(f**e for f, e in factors.items())
+        assert 2**54 <= n <= MAX_N
+        assert all(f == sieved or f * f > n for f in factors)
+        for k in range(3, 17):
+            want = math.prod(tau_k_of(k, f**e) for f, e in factors.items())
+            ps = np.array([sieved], dtype=np.int64)
+            if want < 2**61:
+                assert tau_k_segment(k, n, n + 1, _primes=ps).values.tolist() == [want]
+            else:  # the float64 shadow catches these
+                assert want > 2**63
+                with pytest.raises(OverflowError):
+                    tau_k_segment(k, n, n + 1, _primes=ps)
+
+
 def test_multiplicativity_property():
     rng = np.random.default_rng(13)
     checked = 0

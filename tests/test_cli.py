@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from tauvar import cli
+from tauvar.arith import tau_k_of, tau_k_segments
 from tauvar.cli import main
 from tauvar.verify import SUITE_NAMES
 
@@ -33,6 +35,27 @@ def test_tau_range_to_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "tau", "--k", "3", "1", "5", "--out", str(path))
     assert code == 0
     assert path.read_text().splitlines() == ["1,1", "2,3", "3,3", "4,6"]
+
+
+def test_tau_range_streams_window_by_window(tmp_path, capsys, monkeypatch):
+    # windows of 7 entries: each window's lines are written before the next
+    # window is sieved, and the text equals the pointwise values
+    printed = []
+
+    def small_windows(k, lo, hi):
+        for seg in tau_k_segments(k, lo, hi, 7):
+            printed.append(capsys.readouterr().out)
+            yield seg
+
+    monkeypatch.setattr(cli, "tau_k_segments", small_windows)
+    expected = [f"{n},{tau_k_of(3, n)}\n" for n in range(1, 40)]
+    code, out, _ = run_cli(capsys, "tau", "--k", "3", "1", "40")
+    assert code == 0
+    assert printed + [out] == [""] + ["".join(expected[i : i + 7]) for i in range(0, 39, 7)]
+
+    path = tmp_path / "tau.csv"
+    assert run_cli(capsys, "tau", "--k", "3", "1", "40", "--out", str(path))[0] == 0
+    assert path.read_bytes() == "".join(expected).encode()
 
 
 def test_tau_range_rejects_empty_and_negative_ranges(capsys):
@@ -94,6 +117,15 @@ def test_variance_subcommand(capsys, tmp_path):
     )
     assert code == 2
     assert "segment_size must be positive" in err
+
+    for workers in ("0", "-2"):
+        code, out, err = run_cli(
+            capsys, "variance", "--k", "2", "--d", "101", "--c", "1.5", "--cutoff", "sharp",
+            "--workers", workers,
+        )
+        assert code == 2
+        assert out == ""
+        assert "workers must be positive" in err
 
 
 def test_verify_known_and_unknown_suite(capsys):

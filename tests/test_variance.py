@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tauvar.arith import euler_phi, tau_k_of
+from tauvar.arith import euler_phi, tau_k_of, tau_k_segment, units
 from tauvar.constants import a_k_d, gamma_k_simple
 from tauvar.variance import (
     SIEVE_BUDGET,
+    _segment_task,
     compute_class_sums,
     experiment,
     gamma_eval,
@@ -17,7 +20,7 @@ from tauvar.variance import (
     variance_direct,
     variance_primitive,
 )
-from tauvar.weights import make_bump_weight
+from tauvar.weights import SmoothWeight, make_bump_weight
 
 
 def brute_variance(k, d, x, cutoff, perturb_outside_support=0):
@@ -160,6 +163,51 @@ def test_class_sums_reject_nonpositive_segment_size():
             compute_class_sums(2, 101, 1000.0, "sharp", segment_size=size)
         with pytest.raises(ValueError, match="segment_size must be positive"):
             experiment(2, 101, 1.5, "sharp", segment_size=size)
+
+
+def test_class_sums_reject_nonpositive_workers():
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be positive"):
+            compute_class_sums(2, 7, 1000.0, "sharp", workers=workers)
+        with pytest.raises(ValueError, match="workers must be positive"):
+            experiment(2, 101, 1.5, "sharp", workers=workers)
+
+
+def bincount_class_sums(k, lo, hi, d, x, cutoff, amplitude):
+    """One window's class sums as np.bincount adds them: each unit class in
+    ascending n, starting from 0.0."""
+    vals = tau_k_segment(k, lo, hi, segment_cap=hi - lo).values
+    n = np.arange(lo, hi, dtype=np.int64)
+    if cutoff == "smooth":
+        vals = vals * SmoothWeight(amplitude=amplitude).values(n / x)
+    us = units(d)
+    unit_index = np.full(d, -1, dtype=np.int64)
+    unit_index[us] = np.arange(us.size)
+    idx = unit_index[n % d]
+    good = idx >= 0
+    return np.bincount(idx[good], weights=vals[good], minlength=us.size)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    lo=st.one_of(st.just(1), st.integers(1, 10**9)),
+    width=st.integers(1, 3000),
+    d=st.one_of(
+        st.sampled_from([1, 2, 3, 4, 12, 97, 210, 1009, 2310]),  # d = 1, prime, composite
+        st.integers(3001, 10**5),  # larger than any window
+    ),
+    cutoff=st.sampled_from(["sharp", "smooth"]),
+    x_frac=st.floats(0.55, 1.05),
+)
+def test_segment_class_sums_match_bincount_bit_for_bit(k, lo, width, d, cutoff, x_frac):
+    # smooth: x near lo puts n / x across the bump's support on most windows
+    x = max(1.0, lo * x_frac)
+    amplitude = make_bump_weight().amplitude
+    task = (3, k, lo, lo + width, d, x, cutoff, amplitude, width, None)
+    index, part = _segment_task(task)
+    assert index == 3
+    assert np.array_equal(part, bincount_class_sums(k, lo, lo + width, d, x, cutoff, amplitude))
 
 
 def test_routes_reject_class_sums_built_for_other_arguments():
