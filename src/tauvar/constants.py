@@ -42,6 +42,7 @@ __all__ = [
     "gamma_k_simple",
     "gamma_3_piecewise",
     "gamma_3_piecewise_exact",
+    "check_gamma_domain",
     "gamma_k_mc",
     "g_k",
     "gamma_integral_check",
@@ -262,6 +263,34 @@ def _vandermonde_sq(w: np.ndarray) -> np.ndarray:
     return d * d
 
 
+def check_gamma_domain(k: int, c: float, method: str, samples: int, seed: int) -> None:
+    """Raise ValueError unless `method` can evaluate gamma_k(c) with these Monte
+    Carlo settings: the one rule for gamma_eval, gamma_k_mc and sweep configs."""
+    if method == "simple":
+        if not (k - 1 < c < k):
+            raise ValueError(
+                f"gamma method 'simple' needs c in (k-1, k) = ({k - 1}, {k}), got c = {c}"
+            )
+    elif method == "piecewise":
+        if k != 3:
+            raise ValueError("the explicit piecewise table is only available for k = 3")
+        if not (0.0 <= c <= 3.0):
+            raise ValueError(f"gamma method 'piecewise' needs c in [0, 3], got c = {c}")
+    elif method == "mc":
+        if not (1 <= k <= _MC_MAX_K):
+            raise ValueError(f"k = {k} outside the Monte-Carlo range 1..{_MC_MAX_K}")
+        if not (0.0 < c < float(k)):
+            raise ValueError(f"c = {c} outside (0, {k})")
+        if k == 1:
+            return  # gamma_1 = 1 on (0, 1) takes no samples
+        if samples < _MC_MIN_SAMPLES:
+            raise ValueError(f"samples = {samples} below the floor {_MC_MIN_SAMPLES}")
+        if seed < 0:
+            raise ValueError("seed must be a non-negative integer")
+    else:
+        raise ValueError(f"unknown gamma method {method!r}; use simple, piecewise or mc")
+
+
 def gamma_k_mc(k: int, c: float, samples: int, seed: int) -> ConstantValue:
     """Stratified Monte Carlo for gamma_k(c) from the Vandermonde integral.
 
@@ -274,17 +303,10 @@ def gamma_k_mc(k: int, c: float, samples: int, seed: int) -> ConstantValue:
     stratified-sampling formula.  Chunks of cells are generated by a Philox
     stream keyed (seed, chunk), so any worker partition reproduces bitwise.
     """
-    if not (1 <= k <= _MC_MAX_K):
-        raise ValueError(f"k = {k} outside the Monte-Carlo range 1..{_MC_MAX_K}")
-    if not (0.0 < c < float(k)):
-        raise ValueError(f"c = {c} outside (0, {k})")
+    check_gamma_domain(k, c, "mc", samples, seed)
     if k == 1:
         # empty Vandermonde: gamma_1 = 1 on (0,1), no sampling needed
         return ConstantValue(1.0, "monte-carlo", 0.0, {"samples": 0, "seed": seed})
-    if samples < _MC_MIN_SAMPLES:
-        raise ValueError(f"samples = {samples} below the floor {_MC_MIN_SAMPLES}")
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
     dim = k - 1
     norm = 1.0 / (factorial(k) * barnes_g(k + 1) ** 2)
     m = max(1, int(round((samples / 256.0) ** (1.0 / dim))))

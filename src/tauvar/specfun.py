@@ -1,72 +1,58 @@
-"""Complex log-gamma, the functional-equation gamma factor, and Barnes G.
+"""Complex log-gamma, the gamma ratio of the functional equation, and Barnes G.
 
-The gamma factor of a Dirichlet L-function's functional equation is, up to a
-unimodular constant, (q/pi)^(s-1/2) * Gamma((s+a)/2) / Gamma((1-s+a)/2) with
-a in {0, 1} the parity of the character.  Only its modulus is exposed here:
-the unimodular constant needs deeper character data and nothing downstream
-consumes it.
+For a Dirichlet character of parity a in {0, 1} the functional equation of
+its L-function, solved for L(s, chi), carries the gamma ratio
+
+    g_a(s) = Gamma((1 - s + a)/2) / Gamma((s + a)/2),
+
+times (q/pi)^(s - 1/2) and a root number of modulus 1.  On the critical line
+Re s = 1/2 the two Gamma arguments are complex conjugates, so |g_a| = 1.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from typing import Union
 
+import numpy as np
 from scipy.special import loggamma as _loggamma
 
-__all__ = ["GammaFactorSpec", "log_gamma", "gamma_factor_modulus", "barnes_g"]
+__all__ = ["log_gamma", "gamma_ratio", "barnes_g"]
 
 _POLE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class GammaFactorSpec:
-    """Parameters of |gamma(s, chi)|^k: modulus q, parity a, power k."""
-
-    q: float
-    parity: int
-    k: int = 1
-
-    def __post_init__(self) -> None:
-        if self.parity not in (0, 1):
-            raise ValueError(f"parity must be 0 or 1, got {self.parity}")
-        if self.q <= 0:
-            raise ValueError(f"modulus must be positive, got {self.q}")
-        if self.k < 1:
-            raise ValueError(f"power must be >= 1, got {self.k}")
+def _near_pole(z: np.ndarray, tol: float) -> bool:
+    """Whether any z lies within tol (in each coordinate) of 0, -1, -2, ..."""
+    n = np.round(z.real)
+    return bool(np.any((n <= 0) & (np.abs(z.real - n) < tol) & (np.abs(z.imag) < tol)))
 
 
-def _near_pole(z: complex, tol: float) -> bool:
-    return abs(z.imag) < tol and z.real < 0.5 and abs(z.real - round(z.real)) < tol
-
-
-def log_gamma(s: complex) -> complex:
-    """Principal branch of log Gamma(s); poles (s = 0, -1, -2, ...) rejected."""
-    s = complex(s)
-    if _near_pole(s, 1e-300) and round(s.real) <= 0:
+def log_gamma(s: Union[complex, np.ndarray]) -> Union[complex, np.ndarray]:
+    """Principal branch of log Gamma(s), elementwise; poles (s = 0, -1, -2, ...)
+    rejected.  A scalar s gives a complex, an array a complex array."""
+    z = np.asarray(s, dtype=np.complex128)
+    if _near_pole(z, 1e-300):
         raise ValueError(f"log_gamma pole at s = {s}")
-    return complex(_loggamma(s))
+    out = _loggamma(z)
+    return complex(out) if out.ndim == 0 else out
 
 
-def gamma_factor_modulus(s: complex, spec: GammaFactorSpec) -> float:
-    """|gamma(s, chi)|^k for a character of modulus q and parity a.
+def gamma_ratio(s: Union[complex, np.ndarray], parity: int) -> Union[complex, np.ndarray]:
+    """g_a(s) = Gamma((1 - s + a)/2) / Gamma((s + a)/2) for parity a, elementwise.
 
-    Equals [(q/pi)^(sigma - 1/2) * |Gamma((s+a)/2) / Gamma((1-s+a)/2)|]^k.
-    Arguments within 1e-8 of a Gamma pole are rejected.
+    Arguments with either Gamma argument within 1e-8 of a pole are rejected.
+    A scalar s gives a complex, an array a complex array.
     """
-    s = complex(s)
-    a = spec.parity
-    z_num = (s + a) / 2.0
-    z_den = (1.0 - s + a) / 2.0
+    if parity not in (0, 1):
+        raise ValueError(f"parity must be 0 or 1, got {parity}")
+    s = np.asarray(s, dtype=np.complex128)
+    z_num = (1.0 - s + parity) / 2.0
+    z_den = (s + parity) / 2.0
     for z in (z_num, z_den):
-        if _near_pole(z, _POLE_TOL) and round(z.real) <= 0:
-            raise ValueError(f"gamma factor argument {z} is within {_POLE_TOL} of a pole")
-    log_mod = (
-        (s.real - 0.5) * math.log(spec.q / math.pi)
-        + log_gamma(z_num).real
-        - log_gamma(z_den).real
-    )
-    return math.exp(spec.k * log_mod)
+        if _near_pole(z, _POLE_TOL):
+            raise ValueError(f"gamma ratio argument {z} is within {_POLE_TOL} of a pole")
+    out = np.exp(log_gamma(z_num) - log_gamma(z_den))
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def barnes_g(m: int) -> int:

@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .arith import DEFAULT_SEGMENT_SIZE, primes_upto
+from .constants import check_gamma_domain
 from .variance import VarianceReport, experiment
 
 __all__ = [
@@ -101,21 +102,7 @@ class SweepConfig:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         for k in self.k_list:
             for c in self.c_list:
-                self._check_domain(k, c)
-
-    def _check_domain(self, k: int, c: float) -> None:
-        if self.gamma_method == "simple" and not (k - 1 < c < k):
-            raise ValueError(
-                f"gamma_method=simple needs c in (k-1, k); (k={k}, c={c}) violates it"
-            )
-        if self.gamma_method == "piecewise" and (k != 3 or not 0 <= c <= 3):
-            raise ValueError(
-                f"gamma_method=piecewise needs k=3 and c in [0,3]; got (k={k}, c={c})"
-            )
-        if self.gamma_method == "mc" and not (0 < c < k):
-            raise ValueError(
-                f"gamma_method=mc needs c in (0, k); (k={k}, c={c}) violates it"
-            )
+                check_gamma_domain(k, c, self.gamma_method, self.samples, self.seed)
 
     def points(self) -> Iterator[Tuple[int, int, float]]:
         for k in self.k_list:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple
@@ -35,7 +36,14 @@ import numpy as np
 from ._version import __version__
 from .arith import DEFAULT_SEGMENT_SIZE, divisors, primes_upto, tau_k_segment, units
 from .characters import CharacterGroup
-from .constants import ConstantValue, a_k_d, gamma_3_piecewise, gamma_k_mc, gamma_k_simple
+from .constants import (
+    ConstantValue,
+    a_k_d,
+    check_gamma_domain,
+    gamma_3_piecewise,
+    gamma_k_mc,
+    gamma_k_simple,
+)
 from .weights import SmoothWeight, make_bump_weight
 
 __all__ = [
@@ -87,9 +95,10 @@ def _sum_range(x: float, cutoff: str) -> Tuple[int, int]:
     raise ValueError(f"cutoff must be 'sharp' or 'smooth', got {cutoff!r}")
 
 
-def _segment_task(args) -> Tuple[int, np.ndarray]:
-    """Class sums of one sieve segment; top-level so worker pools can pickle it."""
-    (index, k, lo, hi, d, x, cutoff, amplitude, segment_size, primes) = args
+def _segment_task(args) -> np.ndarray:
+    """Sums of one sieve segment over every residue class mod d, units or not;
+    top-level so worker pools can pickle it."""
+    (k, lo, hi, d, x, cutoff, amplitude, segment_size, primes) = args
     tau = tau_k_segment(k, lo, hi, segment_cap=segment_size, _primes=primes).values
     # The window, row by row in a zero-padded (rows, d) grid: column j holds
     # the n = j mod d in ascending order.
@@ -106,8 +115,7 @@ def _segment_task(args) -> Tuple[int, np.ndarray]:
     # Summing the rows one after another adds each class in ascending n, as
     # bincount does; numpy would sum a lone column (d = 1) pairwise instead,
     # so that one takes the running sum.
-    sums = grid.reshape(rows, d).sum(axis=0) if d > 1 else np.cumsum(grid)[-1:]
-    return index, sums[units(d)]
+    return grid.reshape(rows, d).sum(axis=0) if d > 1 else np.cumsum(grid)[-1:]
 
 
 def compute_class_sums(
@@ -148,41 +156,30 @@ def compute_class_sums(
             weight = make_bump_weight()
         amplitude = weight.amplitude
         weight_id = weight.weight_id
-    us = units(d)
-    acc = np.zeros(us.size, dtype=np.float64)
-    comp = np.zeros(us.size, dtype=np.float64)
-
     primes = primes_upto(math.isqrt(hi - 1))
-    tasks = []
-    for i, s_lo in enumerate(range(lo, hi, segment_size)):
-        s_hi = min(s_lo + segment_size, hi)
-        tasks.append((i, k, s_lo, s_hi, d, x, cutoff, amplitude, segment_size, primes))
-
-    def _merge(part: np.ndarray) -> None:
-        # Kahan step, elementwise per class
-        y = part - comp
-        t = acc + y
-        comp[:] = (t - acc) - y
-        acc[:] = t
-
-    if workers > 1 and len(tasks) > 1:
-        results: Dict[int, np.ndarray] = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, part in pool.map(_segment_task, tasks):
-                results[index] = part
-        for index in sorted(results):
-            _merge(results[index])
-    else:
-        for task in tasks:
-            _merge(_segment_task(task)[1])
-
+    tasks = [
+        (k, s_lo, min(s_lo + segment_size, hi), d, x, cutoff, amplitude, segment_size, primes)
+        for s_lo in range(lo, hi, segment_size)
+    ]
+    acc = np.zeros(d, dtype=np.float64)
+    comp = np.zeros(d, dtype=np.float64)
+    parallel = workers > 1 and len(tasks) > 1
+    # pool.map yields in task order, so both paths merge in ascending segment order
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+        for part in (pool.map if parallel else map)(_segment_task, tasks):
+            # Kahan step, elementwise per class
+            y = part - comp
+            t = acc + y
+            comp = (t - acc) - y
+            acc = t
+    us = units(d)
     return ClassSums(
         k=k,
         d=d,
         x=x,
         cutoff=cutoff,
         units=us,
-        sums=acc,
+        sums=acc[us],
         weight_id=weight_id,
         segment_size=segment_size,
     )
@@ -302,19 +299,12 @@ def gamma_eval(
     mc_seed: int = 1,
 ) -> ConstantValue:
     """gamma_k(c) by the requested method, with provenance."""
+    check_gamma_domain(k, c, method, mc_samples, mc_seed)
     if method == "simple":
-        if not (k - 1 < c < k):
-            raise ValueError(
-                f"gamma method 'simple' needs c in (k-1, k) = ({k - 1}, {k}), got c = {c}"
-            )
         return ConstantValue(gamma_k_simple(k, c), "closed-form", 0.0, {})
     if method == "piecewise":
-        if k != 3:
-            raise ValueError("the explicit piecewise table is only available for k = 3")
         return ConstantValue(gamma_3_piecewise(c), "piecewise", 0.0, {})
-    if method == "mc":
-        return gamma_k_mc(k, c, mc_samples, mc_seed)
-    raise ValueError(f"unknown gamma method {method!r}; use simple, piecewise or mc")
+    return gamma_k_mc(k, c, mc_samples, mc_seed)
 
 
 def main_term(

@@ -14,7 +14,6 @@ import pytest
 
 from tauvar.constants import a_k_d, a_k_value, g_k, gamma_integral_check, gamma_k_mc, gamma_k_simple
 from tauvar.plotting import emit_plot
-from tauvar.specfun import GammaFactorSpec, gamma_factor_modulus
 from tauvar.sweep import SweepConfig, run_sweep
 from tauvar.variance import experiment, variance_characters, variance_direct
 from tauvar.verify import run_verify
@@ -167,11 +166,8 @@ def test_criterion_08_character_suite():
 
 
 def test_criterion_09_gamma_factor_unimodular():
-    worst = 0.0
-    for q, a in ((3, 1), (4, 1), (5, 0)):
-        for t in (0.0, 1.0, 5.0, 20.0):
-            v = gamma_factor_modulus(complex(0.5, t), GammaFactorSpec(q=q, parity=a, k=1))
-            worst = max(worst, abs(v - 1.0))
+    checks, _ = verified("specfun")
+    worst = checks["critical-line-unimodularity"].residual
     ok = worst < 1e-11
     report(9, "gamma factor unimodular on the critical line", ok, f"worst {worst:.2e}")
     assert worst < 1e-11

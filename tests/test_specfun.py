@@ -1,4 +1,4 @@
-"""log Gamma, the functional-equation gamma factor, Barnes G."""
+"""log Gamma, the functional-equation gamma ratio g_a, Barnes G."""
 
 import math
 from math import factorial
@@ -6,13 +6,13 @@ from math import factorial
 import numpy as np
 import pytest
 
-from tauvar.specfun import GammaFactorSpec, barnes_g, gamma_factor_modulus, log_gamma
+from tauvar.specfun import barnes_g, gamma_ratio, log_gamma
 from tauvar.verify import _stirling_log_gamma
 
 # frozen mpmath.loggamma references (40 digits)
 LG_LARGE = complex(12376679.82274329919842, 13947481.91894257170304)  # s = 1e6 + 1e6 i
 LG_MED = complex(0.7853469580738223887584, 2.583012925115262248591)  # s = 3.7 + 2.1 i
-INV_TWO_SQRT_PI = 0.28209479177387814347
+TWO_SQRT_PI = 3.5449077018110320546
 
 
 def test_log_gamma_classical_values():
@@ -47,43 +47,33 @@ def test_stirling_oracle_agreement():
 
 
 def test_gamma_factor_critical_line_unimodular():
-    for q, a in ((3, 1), (4, 1), (5, 0)):
-        for t in (0.0, 1.0, 5.0, 20.0):
-            spec = GammaFactorSpec(q=q, parity=a, k=1)
-            assert abs(gamma_factor_modulus(complex(0.5, t), spec) - 1.0) < 1e-11
-            spec3 = GammaFactorSpec(q=q, parity=a, k=3)
-            assert abs(gamma_factor_modulus(complex(0.5, t), spec3) - 1.0) < 1e-11
+    t = np.array([0.0, 1.0, 5.0, 20.0, 600.0])
+    for a in (0, 1):
+        g = gamma_ratio(0.5 + 1j * t, a)
+        assert np.max(np.abs(np.abs(g) - 1.0)) < 1e-11
+        assert np.max(np.abs(np.abs(g**3) - 1.0)) < 1e-11
+        for ti, gi in zip(t, g):  # scalar and array calls agree
+            assert gamma_ratio(complex(0.5, ti), a) == gi
 
 
 def test_gamma_factor_exact_point():
-    # s = 2, a = 0: |Gamma(1) / Gamma(-1/2)| = 1/(2 sqrt(pi)); q = pi kills the power
-    spec = GammaFactorSpec(q=math.pi, parity=0, k=1)
-    assert abs(gamma_factor_modulus(2.0, spec) - INV_TWO_SQRT_PI) < 1e-13
-
-
-def test_gamma_factor_q_power_law():
-    for k in (1, 2):
-        spec1 = GammaFactorSpec(q=7, parity=0, k=k)
-        spec2 = GammaFactorSpec(q=14, parity=0, k=k)
-        ratio = gamma_factor_modulus(2.0, spec2) / gamma_factor_modulus(2.0, spec1)
-        assert abs(ratio - 2.0 ** (k * 1.5)) < 1e-12 * 2.0 ** (k * 1.5)
+    # s = 2, a = 0: Gamma(-1/2) / Gamma(1) = -2 sqrt(pi)
+    assert abs(abs(gamma_ratio(2.0, 0)) - TWO_SQRT_PI) < 1e-13 * TWO_SQRT_PI
 
 
 def test_gamma_factor_pole_proximity_rejected():
-    spec = GammaFactorSpec(q=5, parity=0, k=1)
     # (1 - s + a)/2 = -1 when s = 3: reject s within 1e-8 of it
+    for s in (3.0 + 1e-9, 3.0 - 1e-9):
+        with pytest.raises(ValueError, match="pole"):
+            gamma_ratio(s, 0)
     with pytest.raises(ValueError, match="pole"):
-        gamma_factor_modulus(3.0 + 1e-9, spec)
-    gamma_factor_modulus(3.0 + 1e-6, spec)  # outside the guard radius
+        gamma_ratio(np.array([2.0, 3.0 + 1e-9]), 0)
+    gamma_ratio(3.0 + 1e-6, 0)  # outside the guard radius
 
 
-def test_gamma_factor_spec_validation():
-    with pytest.raises(ValueError):
-        GammaFactorSpec(q=5, parity=2)
-    with pytest.raises(ValueError):
-        GammaFactorSpec(q=-1, parity=0)
-    with pytest.raises(ValueError):
-        GammaFactorSpec(q=5, parity=0, k=0)
+def test_gamma_factor_rejects_bad_parity():
+    with pytest.raises(ValueError, match="parity"):
+        gamma_ratio(2.0, 2)
 
 
 def test_barnes_g_values():

@@ -65,6 +65,11 @@ def test_config_validates_gamma_domain():
         SweepConfig(k_list=(2, 3), d_list=(4,), c_list=(2.5,))
     with pytest.raises(ValueError, match="piecewise"):
         SweepConfig(k_list=(2,), d_list=(4,), c_list=(1.5,), gamma_method="piecewise")
+    # the Monte Carlo bounds, which used to pass here and then fail every point
+    with pytest.raises(ValueError, match="k = 6 outside the Monte-Carlo range 1..5"):
+        parse_config("k = 6\nd = 4\nc = 5.5\ngamma_method = mc\n")
+    with pytest.raises(ValueError, match="samples = 100 below the floor 10000"):
+        parse_config("k = 2\nd = 4\nc = 1.5\ngamma_method = mc\nsamples = 100\n")
     SweepConfig(k_list=(3,), d_list=(4,), c_list=(2.5,))  # fine
 
 

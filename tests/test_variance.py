@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tauvar import variance
 from tauvar.arith import euler_phi, tau_k_of, tau_k_segment, units
 from tauvar.constants import a_k_d, gamma_k_simple
 from tauvar.variance import (
@@ -204,10 +205,23 @@ def test_segment_class_sums_match_bincount_bit_for_bit(k, lo, width, d, cutoff, 
     # smooth: x near lo puts n / x across the bump's support on most windows
     x = max(1.0, lo * x_frac)
     amplitude = make_bump_weight().amplitude
-    task = (3, k, lo, lo + width, d, x, cutoff, amplitude, width, None)
-    index, part = _segment_task(task)
-    assert index == 3
+    task = (k, lo, lo + width, d, x, cutoff, amplitude, width, None)
+    part = _segment_task(task)[units(d)]
     assert np.array_equal(part, bincount_class_sums(k, lo, lo + width, d, x, cutoff, amplitude))
+
+
+def test_class_sums_compute_units_once(monkeypatch):
+    # units(d) is an O(d) gcd pass; per segment it made a narrow window cost O(d)
+    calls = []
+
+    def counting_units(d):
+        calls.append(d)
+        return units(d)
+
+    monkeypatch.setattr(variance, "units", counting_units)
+    cs = compute_class_sums(3, 97, 5000.0, "smooth", segment_size=500)
+    assert calls == [97]
+    assert np.array_equal(cs.units, units(97))
 
 
 def test_routes_reject_class_sums_built_for_other_arguments():

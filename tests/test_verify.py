@@ -15,8 +15,10 @@ def test_suite_names_cover_the_documented_set():
         "variance-equivalence",
         "convolution-trend",
         "mellin-decay",
+        "tau-sieve",
+        "specfun",
     }
-    assert required <= set(SUITE_NAMES)
+    assert required == set(SUITE_NAMES)
 
 
 def test_unknown_suite_lists_valid_names():
@@ -27,7 +29,9 @@ def test_unknown_suite_lists_valid_names():
         assert name in msg
 
 
-@pytest.mark.parametrize("name", ["magic", "moment", "gamma3", "gauss", "specfun"])
+@pytest.mark.parametrize(
+    "name", ["magic", "moment", "gamma3", "gauss", "specfun", "mellin-decay", "tau-sieve"]
+)
 def test_fast_suites_pass(name):
     rep = run_verify(name)
     assert rep.passed, [c for c in rep.checks if not c.passed]

@@ -46,15 +46,22 @@ def test_value_at_midpoint(w):
 
 
 def test_mellin_against_quadrature_oracle(w):
-    for s, ref in [
+    cases = [
         (1.0, M_AT_1),
         (complex(0.5, 10.0), M_AT_HALF_10I),
         (complex(2.0, 25.0), M_AT_2_25I),
         (-1.0, M_AT_MINUS1),
-    ]:
+    ]
+    for s, ref in cases:
         got = mellin_numeric(w, s, tol=1e-12)
         assert abs(got.value - ref) < 1e-11
         assert got.error <= 1e-12
+    # all four points in one call, each converged on its own
+    s, ref = (np.array(col) for col in zip(*cases))
+    got = mellin_numeric(w, s, tol=1e-12)
+    assert got.value.shape == got.error.shape == (4,)
+    assert np.all(np.abs(got.value - ref) < 1e-11)
+    assert np.all(got.error <= 1e-12)
 
 
 def test_mellin_continuity(w):
@@ -82,6 +89,11 @@ def test_tolerance_floor_and_failure(w):
     with pytest.raises(ToleranceNotReached) as exc:
         mellin_numeric(w, complex(0.5, 5e4), tol=1e-12)
     assert exc.value.error > 1e-12  # best value and estimate are carried out
+    # one point short of tol fails the array; the best values come out
+    with pytest.raises(ToleranceNotReached) as exc:
+        mellin_numeric(w, np.array([1.0, complex(0.5, 5e4)]), tol=1e-12)
+    assert exc.value.value.shape == (2,) and exc.value.error > 1e-12
+    assert abs(exc.value.value[0] - M_AT_1) < 1e-11
 
 
 def test_refinement_consistency(w):
@@ -111,6 +123,9 @@ def test_decay_check_orders(w):
     assert all(math.isfinite(b) for b in r3.bounds.values())
     with pytest.raises(ValueError):
         mellin_decay_check(w, 7, [1.0])
+    # far out on the line the quadrature cannot converge: raise, not a silent value
+    with pytest.raises(ToleranceNotReached):
+        mellin_decay_check(w, 0, [10.0, 5e4], sigmas=(0.5,))
 
 
 def test_parseval_residual(w):
