@@ -146,7 +146,12 @@ def a_k_value(k: int, prime_bound: int = 10**6) -> ConstantValue:
 
 def a_k_d(k: int, d: int, prime_bound: int = 10**6) -> ConstantValue:
     """a_k(d) = a_k / prod_{p | d} L_p(k): drop the Euler factors at p | d."""
-    ak = a_k_value(k, prime_bound)
+    return _drop_local_factors(a_k_value(k, prime_bound), k, d)
+
+
+def _drop_local_factors(ak: ConstantValue, k: int, d: int) -> ConstantValue:
+    """a_k(d) from an evaluated a_k, so callers that share a_k across d
+    (the sweep) divide out the same factors as a_k_d."""
     scale = 1.0
     for p, _ in factorize(d).factors:
         scale /= local_factor(k, p)
@@ -154,7 +159,7 @@ def a_k_d(k: int, d: int, prime_bound: int = 10**6) -> ConstantValue:
         ak.value * scale,
         "euler-product",
         ak.error_estimate * scale,
-        {"prime_bound": prime_bound, "d": d},
+        {"prime_bound": ak.params["prime_bound"], "d": d},
     )
 
 
@@ -253,13 +258,12 @@ def gamma_3_piecewise_exact(c: Fraction) -> Fraction:
     return GAMMA3_PIECEWISE.eval_exact(c)
 
 
-def _vandermonde_sq(w: np.ndarray) -> np.ndarray:
-    """prod_{i<j} (w_i - w_j)^2 along the last axis."""
-    k = w.shape[-1]
-    d = np.ones(w.shape[:-1], dtype=np.float64)
-    for i in range(k):
-        for j in range(i + 1, k):
-            d *= w[..., i] - w[..., j]
+def _vandermonde_sq(w: Sequence[np.ndarray]) -> np.ndarray:
+    """prod_{i<j} (w_i - w_j)^2 over the coordinate arrays w_0, ..., w_(k-1)."""
+    d = np.ones(w[0].shape, dtype=np.float64)
+    for i in range(len(w)):
+        for j in range(i + 1, len(w)):
+            d *= w[i] - w[j]
     return d * d
 
 
@@ -331,7 +335,8 @@ def gamma_k_mc(k: int, c: float, samples: int, seed: int) -> ConstantValue:
         pts = (corner[:, None, :] + u) / m
         w_last = c - pts.sum(axis=2)
         ok = (w_last >= 0.0) & (w_last <= 1.0)
-        w = np.concatenate([pts, w_last[..., None]], axis=2)
+        # the columns of pts as views, so no (cells, points, k) copy is made
+        w = [pts[..., axis] for axis in range(dim)] + [w_last]
         y = np.where(ok, _vandermonde_sq(w), 0.0)
         mean_acc += float(y.mean(axis=1).sum())
         var_acc += float((y.var(axis=1, ddof=1) / n_c).sum())

@@ -1,10 +1,19 @@
 """Experiment sweeps: flat-text configuration, JSONL records, CSV summaries.
 
-A sweep runs experiment() over the product k_list x d_list x c_list and
+A sweep measures every point of the product k_list x d_list x c_list and
 persists one line-delimited JSON record per point next to a CSV summary.
 Rows are written in input order as points finish, so a crashed run leaves a
 usable prefix, and re-running an identical configuration reproduces the CSV
 byte for byte apart from the runtime column, regardless of worker count.
+
+The main term's constants do not depend on d: gamma_k(c) depends on (k, c)
+only and a_k on k only.  Each sweep evaluates them once per distinct key, in
+the process pool when workers > 1, and builds every point's report from the
+shared values with the same builder as experiment(), so each record equals
+experiment() at that point in every field but wall_time_s.  A record's
+runtime_s (wall_time_s) is that point's own time, without the shared
+constants.  Nothing is kept between sweeps: a second run_sweep evaluates
+the constants again.
 
 Configuration files are flat "key = value" text (diff-friendly provenance):
 
@@ -26,14 +35,15 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .arith import DEFAULT_SEGMENT_SIZE, primes_upto
-from .constants import check_gamma_domain
-from .variance import VarianceReport, experiment
+from .constants import ConstantValue, _drop_local_factors, a_k_value, check_gamma_domain
+from .variance import VarianceReport, _report, gamma_eval
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -191,19 +201,51 @@ def _csv_row(report: VarianceReport) -> List[str]:
     ]
 
 
-def _run_point(args) -> VarianceReport:
-    k, d, c, config = args
-    return experiment(
-        k,
-        d,
-        c,
-        cutoff=config.cutoff,
-        gamma_method=config.gamma_method,
-        prime_bound=config.prime_bound,
-        mc_samples=config.samples,
-        mc_seed=config.seed,
-        segment_size=config.segment_size,
-        workers=1,
+class _SharedConstants:
+    """The sweep's distinct constants, a_k per k and gamma_k(c) per (k, c).
+
+    `launch` receives each evaluation as a zero-argument callable and returns
+    a zero-argument getter for its value: the callable itself (serial) or a
+    pool future's result.  Each getter runs once, on first use; a constant
+    that raised raises again for every point that needs it.
+    """
+
+    def __init__(self, config: SweepConfig, launch: Callable[[Callable], Callable]):
+        tasks: Dict[tuple, Callable[[], ConstantValue]] = {}
+        for k in config.k_list:
+            tasks[("a_k", k)] = partial(a_k_value, k, config.prime_bound)
+            for c in config.c_list:
+                tasks[("gamma", k, c)] = partial(
+                    gamma_eval, k, c, config.gamma_method,
+                    mc_samples=config.samples, mc_seed=config.seed,
+                )
+        self._getters = {key: launch(task) for key, task in tasks.items()}
+        self._values: Dict[tuple, object] = {}
+
+    def _get(self, key: tuple) -> ConstantValue:
+        if key not in self._values:
+            try:
+                self._values[key] = self._getters[key]()
+            except Exception as exc:  # noqa: BLE001 - re-raised for each point
+                self._values[key] = exc
+        value = self._values[key]
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    def of(self, point: Tuple[int, int, float]) -> Tuple[ConstantValue, ConstantValue]:
+        k, _, c = point
+        return self._get(("a_k", k)), self._get(("gamma", k, c))
+
+
+def _run_point(
+    point: Tuple[int, int, float], config: SweepConfig, ak: ConstantValue, gamma: ConstantValue
+) -> VarianceReport:
+    start = time.perf_counter()
+    k, d, c = point
+    akd = _drop_local_factors(ak, k, d)
+    return _report(
+        k, d, c, config.cutoff, config.gamma_method, akd, gamma, config.segment_size, 1, start
     )
 
 
@@ -211,8 +253,9 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> SweepRe
     """Run every (k, d, c) point, flushing records and CSV rows incrementally.
 
     Per-point failures are reported on stderr and recorded; remaining points
-    still run.  Points are dispatched to a process pool when workers > 1 but
-    results are always written in input order.
+    still run.  A constant that fails fails every point that needs it.
+    Constants and points are dispatched to a process pool when workers > 1,
+    but results are always written in input order.
     """
     out = Path(out_dir) if out_dir is not None else (Path(config.out) if config.out else None)
     if out is None:
@@ -252,16 +295,29 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> SweepRe
 
         if config.workers > 1 and len(points) > 1:
             with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                futures = [pool.submit(_run_point, (k, d, c, config)) for (k, d, c) in points]
+                # The constants go to the pool ahead of the points, which keeps
+                # the parent small; a point is queued once its constants are in.
+                shared = _SharedConstants(config, lambda task: pool.submit(task).result)
+
+                def submit(point: Tuple[int, int, float]) -> Future:
+                    try:
+                        return pool.submit(_run_point, point, config, *shared.of(point))
+                    except Exception as exc:  # noqa: BLE001 - per-point isolation
+                        failed: Future = Future()
+                        failed.set_exception(exc)
+                        return failed
+
+                futures = [submit(point) for point in points]
                 for point, fut in zip(points, futures):
                     try:
                         emit(point, fut.result(), None)
                     except Exception as exc:  # noqa: BLE001 - per-point isolation
                         emit(point, None, f"{type(exc).__name__}: {exc}")
         else:
+            shared = _SharedConstants(config, lambda task: task)
             for point in points:
                 try:
-                    emit(point, _run_point((*point, config)), None)
+                    emit(point, _run_point(point, config, *shared.of(point)), None)
                 except Exception as exc:  # noqa: BLE001 - per-point isolation
                     emit(point, None, f"{type(exc).__name__}: {exc}")
 

@@ -335,7 +335,13 @@ def _leading_term(k: int, d: int, x: float, akd: ConstantValue, gamma: ConstantV
 
 @dataclass(frozen=True)
 class VarianceReport:
-    """One experiment: measured variance, conjectural main term, provenance."""
+    """One experiment: measured variance, conjectural main term, provenance.
+
+    wall_time_s is the point's own time.  From experiment() it covers the
+    whole call, constants included.  In a sweep, whose constants are
+    evaluated once per distinct key and shared by the points (see sweep.py),
+    it leaves those shared constants out.
+    """
 
     k: int
     d: int
@@ -380,13 +386,30 @@ def experiment(
     except wall_time_s, for any worker count.
     """
     start = time.perf_counter()
+    gamma = gamma_eval(k, c, gamma_method, mc_samples=mc_samples, mc_seed=mc_seed)
+    akd = a_k_d(k, d, prime_bound)
+    return _report(k, d, c, cutoff, gamma_method, akd, gamma, segment_size, workers, start)
+
+
+def _report(
+    k: int,
+    d: int,
+    c: float,
+    cutoff: str,
+    gamma_method: str,
+    akd: ConstantValue,
+    gamma: ConstantValue,
+    segment_size: int,
+    workers: int,
+    start: float,
+) -> VarianceReport:
+    """One point's report from its evaluated constants: the one builder behind
+    experiment() and every sweep point.  wall_time_s runs from `start`."""
     x = float(d) ** c
     cs = compute_class_sums(
         k, d, x, cutoff, segment_size=segment_size, workers=workers
     )
     var = variance_direct(k, d, x, cutoff, class_sums=cs)
-    gamma = gamma_eval(k, c, gamma_method, mc_samples=mc_samples, mc_seed=mc_seed)
-    akd = a_k_d(k, d, prime_bound)
     mt = _leading_term(k, d, x, akd, gamma)
     ratio = var / mt if mt > 0 else None
     return VarianceReport(
@@ -401,7 +424,7 @@ def experiment(
         ratio=ratio,
         a_k_d_value=akd.value,
         a_k_d_error=akd.error_estimate,
-        prime_bound=prime_bound,
+        prime_bound=akd.params["prime_bound"],
         gamma_method=gamma_method,
         gamma_value=gamma.value,
         gamma_error=gamma.error_estimate,

@@ -168,6 +168,15 @@ def test_gamma_k_mc_reproducible():
     assert c.value != a.value
 
 
+def test_gamma_k_mc_pinned_bits():
+    # pins the estimator's arithmetic (pair order of the Vandermonde product,
+    # strata, Philox chunks): any change to them moves these bits
+    est = gamma_k_mc(3, 1.7, 10**6, 9)
+    assert est.value.hex() == "0x1.1b4a2e07024b3p-13"
+    assert est.error_estimate.hex() == "0x1.0307d55d39849p-24"
+    assert est.params["samples"] == 1003284 and est.params["chunks"] == 2
+
+
 def test_gamma_k_mc_validation():
     with pytest.raises(ValueError):
         gamma_k_mc(3, 2.5, 10**3, seed=1)  # too few samples

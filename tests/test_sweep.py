@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import tauvar.sweep
+import tauvar.variance
 from tauvar.sweep import (
     CSV_COLUMNS,
     SweepConfig,
@@ -14,6 +16,7 @@ from tauvar.sweep import (
     read_records,
     run_sweep,
 )
+from tauvar.variance import experiment
 
 GOOD_CONFIG = """
 # three-point toy sweep
@@ -148,6 +151,83 @@ def test_sweep_isolates_point_failures(tmp_path, capsys):
     assert res.failures[0][0] == (5, 10**6, 4.5)
     with open(res.csv_path, newline="") as f:
         assert len(list(csv.DictReader(f))) == 1
+
+
+# one small grid per gamma method; each method's domain needs its own (k, c)
+METHOD_GRIDS = {
+    "mc": dict(k_list=(2, 3), c_list=(1.3, 1.7)),
+    "simple": dict(k_list=(3,), c_list=(2.5,)),
+    "piecewise": dict(k_list=(3,), c_list=(1.3, 2.5)),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("method", sorted(METHOD_GRIDS))
+def test_sweep_records_equal_experiment(tmp_path, method, workers):
+    cfg = SweepConfig(
+        d_list=(4, 12, 35), gamma_method=method, samples=10**4, seed=7,
+        prime_bound=10**4, workers=workers, **METHOD_GRIDS[method],
+    )
+    res = run_sweep(cfg, out_dir=tmp_path)
+    assert res.ok and len(res.records) == len(list(cfg.points()))
+    for rec, (k, d, c) in zip(res.records, cfg.points()):
+        want = experiment(
+            k, d, c, cfg.cutoff, method, prime_bound=cfg.prime_bound,
+            mc_samples=cfg.samples, mc_seed=cfg.seed,
+        ).to_dict()
+        got = rec.to_dict()
+        del want["wall_time_s"], got["wall_time_s"]
+        assert got == want
+
+
+# 2 k x 3 d x 2 c points: 4 distinct gamma keys, 2 distinct a_k keys
+MC_GRID = SweepConfig(
+    k_list=(2, 3), d_list=(4, 12, 35), c_list=(1.3, 1.7), gamma_method="mc",
+    samples=10**4, prime_bound=10**4,
+)
+
+
+def test_sweep_evaluates_each_constant_once_per_call(tmp_path, monkeypatch):
+    calls = {"gamma_k_mc": 0, "a_k_value": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(tauvar.variance, "gamma_k_mc")  # gamma_eval's reference
+    counted(tauvar.sweep, "a_k_value")
+    cfg = MC_GRID
+    assert run_sweep(cfg, out_dir=tmp_path / "a").ok
+    assert calls == {"gamma_k_mc": 4, "a_k_value": 2}
+    # nothing is kept between sweeps: the same config evaluates them again
+    assert run_sweep(cfg, out_dir=tmp_path / "b").ok
+    assert calls == {"gamma_k_mc": 8, "a_k_value": 4}
+
+
+def test_sweep_isolates_a_failing_shared_constant(tmp_path, monkeypatch):
+    original = tauvar.sweep.gamma_eval
+
+    def gamma_eval(k, c, *args, **kwargs):
+        if (k, c) == (3, 1.7):
+            raise RuntimeError("no gamma here")
+        return original(k, c, *args, **kwargs)
+
+    monkeypatch.setattr(tauvar.sweep, "gamma_eval", gamma_eval)
+    cfg = MC_GRID
+    res = run_sweep(cfg, out_dir=tmp_path)
+    bad = [pt for pt in cfg.points() if pt[0] == 3 and pt[2] == 1.7]
+    assert res.failures == [(pt, "RuntimeError: no gamma here") for pt in bad]
+    good = [pt for pt in cfg.points() if pt not in bad]
+    assert [(r.k, r.d, r.c) for r in res.records] == good
+    with open(res.csv_path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [(int(r["k"]), int(r["d"]), float(r["c"])) for r in rows] == good
+    assert len(read_records(res.jsonl_path)) == len(good)
 
 
 def test_sweep_requires_out_dir():
