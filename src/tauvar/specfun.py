@@ -7,6 +7,9 @@ its L-function, solved for L(s, chi), carries the gamma ratio
 
 times (q/pi)^(s - 1/2) and a root number of modulus 1.  On the critical line
 Re s = 1/2 the two Gamma arguments are complex conjugates, so |g_a| = 1.
+
+scipy is imported on the first log_gamma (or gamma_ratio) call, not with the
+module, so importing tauvar loads numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 from typing import Union
 
 import numpy as np
-from scipy.special import loggamma as _loggamma
 
 __all__ = ["log_gamma", "gamma_ratio", "barnes_g"]
 
@@ -30,10 +32,12 @@ def _near_pole(z: np.ndarray, tol: float) -> bool:
 def log_gamma(s: Union[complex, np.ndarray]) -> Union[complex, np.ndarray]:
     """Principal branch of log Gamma(s), elementwise; poles (s = 0, -1, -2, ...)
     rejected.  A scalar s gives a complex, an array a complex array."""
+    from scipy.special import loggamma
+
     z = np.asarray(s, dtype=np.complex128)
     if _near_pole(z, 1e-300):
         raise ValueError(f"log_gamma pole at s = {s}")
-    out = _loggamma(z)
+    out = loggamma(z)
     return complex(out) if out.ndim == 0 else out
 
 

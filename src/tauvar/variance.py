@@ -136,8 +136,8 @@ def compute_class_sums(
     """
     if d < 1:
         raise ValueError(f"modulus must be >= 1, got {d}")
-    if x < 1.0:
-        raise ValueError(f"X must be >= 1, got {x}")
+    if not (math.isfinite(x) and x >= 1.0):
+        raise ValueError(f"X must be finite and >= 1, got {x}")
     if segment_size < 1:
         raise ValueError(f"segment_size must be positive, got {segment_size}")
     if workers < 1:

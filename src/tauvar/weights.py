@@ -8,6 +8,9 @@ precision with a few thousand nodes, including for the oscillatory integrand
 x^(s-1) up to |Im s| of several hundred.
 
 M[f](s) = int_0^inf f(x) x^(s-1) dx restricted to the support (1,2).
+
+scipy (Simpson's rule) is imported on the first parseval_check call, not with
+the module, so importing tauvar loads numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate import simpson
 
 __all__ = [
     "SmoothWeight",
@@ -149,7 +151,7 @@ def mellin_numeric(
     maximum refinement, ToleranceNotReached carries the best values and the
     largest estimate.
     """
-    if tol < 1e-13:
+    if not tol >= 1e-13:  # NaN fails this too
         raise ValueError(f"tol = {tol} below the supported floor 1e-13")
     s_arr = np.asarray(s, dtype=np.complex128)
     sm1 = s_arr.ravel() - 1.0
@@ -222,6 +224,11 @@ def parseval_check(
     tail_tol, else TruncationInsufficient is raised.  For the normalized bump
     the right side is 1 up to quadrature precision.
     """
+    for name, v in (("t_max", t_max), ("dt", dt)):
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and positive, got {v}")
+    from scipy.integrate import simpson
+
     n = int(round(t_max / dt))
     if n % 2 == 1:
         n += 1

@@ -1,9 +1,16 @@
-"""Package surface: every name a module exports exists."""
+"""Package surface: every name a module exports exists, and importing the
+package leaves scipy unloaded until an analytic function needs it."""
 
 import importlib
+import json
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import tauvar
+from tauvar.specfun import log_gamma
+from tauvar.weights import make_bump_weight, parseval_check
 
 
 def test_every_exported_name_exists():
@@ -14,3 +21,34 @@ def test_every_exported_name_exists():
     for mod in modules:
         missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
         assert not missing, f"{mod.__name__}.__all__ names {missing}, which do not exist"
+
+
+_FRESH_IMPORT = """
+import importlib, json, pkgutil, sys
+import tauvar
+for info in pkgutil.iter_modules(tauvar.__path__):
+    importlib.import_module(f"tauvar.{info.name}")
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+from tauvar.specfun import log_gamma
+from tauvar.weights import make_bump_weight, parseval_check
+print(json.dumps({
+    "modules": len(list(pkgutil.iter_modules(tauvar.__path__))),
+    "scipy_at_import": loaded,
+    "log_gamma": repr(log_gamma(0.5)),
+    "parseval": repr(parseval_check(make_bump_weight())),
+}))
+"""
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(tauvar.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{_FRESH_IMPORT}"],
+        capture_output=True, text=True, check=True,
+    )
+    got = json.loads(out.stdout)
+    assert got["modules"] > 10
+    assert got["scipy_at_import"] == [], f"importing tauvar loaded {got['scipy_at_import'][:5]}"
+    # scipy loads on first use and gives the values this process computes
+    assert got["log_gamma"] == repr(log_gamma(0.5))
+    assert got["parseval"] == repr(parseval_check(make_bump_weight()))

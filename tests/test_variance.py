@@ -166,6 +166,14 @@ def test_class_sums_reject_nonpositive_segment_size():
             experiment(2, 101, 1.5, "sharp", segment_size=size)
 
 
+def test_class_sums_reject_bad_x():
+    for x in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="X must be finite and >= 1"):
+            compute_class_sums(2, 7, x, "sharp")
+        with pytest.raises(ValueError, match="X must be finite and >= 1"):
+            compute_class_sums(3, 7, x, "smooth")
+
+
 def test_class_sums_reject_nonpositive_workers():
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers must be positive"):

@@ -84,8 +84,9 @@ def test_oscillatory_decay(w):
 
 
 def test_tolerance_floor_and_failure(w):
-    with pytest.raises(ValueError):
-        mellin_numeric(w, 1.0, tol=1e-14)
+    for tol in (1e-14, math.nan):
+        with pytest.raises(ValueError, match="floor 1e-13"):
+            mellin_numeric(w, 1.0, tol=tol)
     with pytest.raises(ToleranceNotReached) as exc:
         mellin_numeric(w, complex(0.5, 5e4), tol=1e-12)
     assert exc.value.error > 1e-12  # best value and estimate are carried out
@@ -148,3 +149,9 @@ def test_parseval_truncation_report(w):
 
     with pytest.raises(TruncationInsufficient):
         parseval_check(w, t_max=20.0, tail_tol=1e-12)
+
+
+def test_parseval_rejects_bad_grid(w):
+    for name, v in (("dt", 0.0), ("t_max", -5.0), ("dt", math.nan), ("t_max", math.inf)):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            parseval_check(w, **{name: v})
