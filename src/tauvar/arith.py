@@ -12,8 +12,12 @@ value is a product of binomials over the prime factorization.  The segmented
 sieve computes the same values in bulk with one strided pass per prime power
 p^j: every p^j-th uint64 cell trades its factor tau_k(p^(j-1)) for tau_k(p^j),
 an exact division and multiplication, and adds a rounded, scaled log2 p to a
-uint8 log cell.  A log cell that ends short of log2 n marks the one prime
-factor above sqrt(hi) the pass cannot reach; that cell is multiplied by k.
+uint8 log cell.  The powers 2^4, 3^2, 5 and 7 repeat with period 5040, so
+they are sieved on the first 5040 cells only and copied across the window by
+doubling; the passes go on from 2^5, 3^3, 5^2 and 7^2, and skip every prime
+with no multiple in the window.  A log cell that ends short of log2 n marks
+the one prime factor above sqrt(hi) the passes cannot reach; one multiply by
+the uint8 factor 1 + (k - 1) [short] puts it in.
 """
 
 from __future__ import annotations
@@ -55,6 +59,10 @@ DEFAULT_SEGMENT_SIZE = 1 << 22
 # value to ~1e-13 relative, so anything certified < 2^62 cannot have wrapped.
 # Windows whose values are bounded below it in advance need no shadow.
 _UINT64_SAFE = float(2**62)
+
+# The sieve's wheel: prime -> exponent of 2^4 3^2 5 7, and that product.
+_WHEEL_POWERS = {2: 4, 3: 2, 5: 1, 7: 1}
+_WHEEL = 5040
 
 
 @dataclass(frozen=True)
@@ -188,6 +196,9 @@ def tau_k_segment(
     exact in uint64 because the cell already holds that factor.  A uint8 log
     cell beside it sums a rounded, scaled log2 p on every hit; a cell whose
     sum falls short of log2 n keeps one prime factor > sqrt(hi), worth k.
+    The powers 2^4, 3^2, 5 and 7 are sieved on the first 5040 cells and
+    copied across the window, and only primes with a multiple in the window
+    are walked; the products are exact, so their order changes no value.
     The result is independent of how a larger range is cut into segments.
     Windows whose values could reach 2^62 carry a float64 shadow of the same
     products and raise rather than return a wrapped value.
@@ -201,15 +212,20 @@ def tau_k_segment(
     # prime powers past 2^63 meet lo in Python ints; a numpy k would turn
     # uint64 products into float64
     k, lo, hi = int(k), int(lo), int(hi)
+    n = hi - lo
     ps = primes_upto(isqrt(hi - 1)) if _primes is None else _primes
     ps = ps[: np.searchsorted(ps, isqrt(hi - 1), side="right")]
-    n = hi - lo
+    # a prime with no multiple in the window changes no cell
+    ps = ps[(-lo) % ps < n]
     # tau_k(p^j) for j = 0..63 covers every exponent a 64-bit n can carry.
     binom = [comb(k + j - 1, k - 1) for j in range(64)]
-    tau = np.ones(n, dtype=np.uint64)
     # tau_k(p^e) <= k^e, so tau_k(n) <= k^Omega(n) <= k^floor(log2(hi - 1))
     # on the window: below 2^62 no value can wrap and no shadow is needed.
-    shadow = np.ones(n) if k ** ((hi - 1).bit_length() - 1) >= _UINT64_SAFE else None
+    # The shadow takes at most 2 * 64 roundings of 2^-53 relative, two per
+    # hit and one for the factor k, in whatever order the prime powers come
+    # (the wheel first, below).  So it stays within 1e-13 of the true value,
+    # and 2^62, a factor 4 below the wrap at 2^64, still certifies it.
+    shadow_safe = k ** ((hi - 1).bit_length() - 1) < _UINT64_SAFE
     # The log test.  Write n = f P, f the part of n made of sieved primes
     # (p^2 < hi) and P the rest: 1 or one prime with P^2 >= hi, as two such
     # would exceed n.  Every hit on p^j adds r(p) = round(s log2 p) to the
@@ -231,20 +247,44 @@ def tau_k_segment(
     #   at B = 54, the first with s = 3).  So c < t exactly when P > 1.
     bits = hi.bit_length()
     scale = (480 - bits) // (2 * bits)
-    logs = np.zeros(n, dtype=np.uint8)
     lps = np.rint(scale * np.log2(ps)).astype(np.int64).tolist()
-    for p, lp in zip(ps.tolist(), lps):
-        # no multiple of p^j in the window means none of p^(j+1) either
-        q, j = p, 1
-        while (s := -lo % q) < n:
-            cells = tau[s::q]
+    # The wheel: cells i and i + 5040 share every valuation capped at
+    # 2^4, 3^2, 5 and 7, so those powers are sieved on the first 5040 cells
+    # only and that head is copied across the window by doubling.
+    head = min(n, _WHEEL)
+    tau = np.empty(n, dtype=np.uint64)
+    logs = np.empty(n, dtype=np.uint8)
+    shadow = None if shadow_safe else np.empty(n)
+    tau[:head] = 1
+    logs[:head] = 0
+    if shadow is not None:
+        shadow[:head] = 1.0
+
+    def strike(p: int, lp: int, j: int, last: int, stop: int) -> None:
+        """Sieve p^j .. p^last on the first `stop` cells."""
+        q = p**j
+        # no multiple of p^j in the cells means none of p^(j+1) either
+        while j <= last and (s := -lo % q) < stop:
+            cells = tau[s:stop:q]
             if j > 1:
                 cells //= binom[j - 1]
             cells *= binom[j]
-            logs[s::q] += lp
+            logs[s:stop:q] += lp
             if shadow is not None:
-                shadow[s::q] *= (k + j - 1) / j
+                shadow[s:stop:q] *= (k + j - 1) / j
             q, j = q * p, j + 1
+
+    for p, lp in zip(ps[:4].tolist(), lps):  # the wheel primes lead ps
+        if p in _WHEEL_POWERS:
+            strike(p, lp, 1, _WHEEL_POWERS[p], head)
+    done = head
+    while done < n:
+        step = min(done, n - done)
+        for a in (tau, logs) if shadow is None else (tau, logs, shadow):
+            a[done : done + step] = a[:step]
+        done += step
+    for p, lp in zip(ps.tolist(), lps):
+        strike(p, lp, _WHEEL_POWERS.get(p, 0) + 1, 63, n)
     big = np.empty(n, dtype=bool)
     drop = (scale / 4 + 1 / 8) * log2(hi)
     a = lo
@@ -254,9 +294,13 @@ def tau_k_segment(
         # t <= 0 leaves no cell below it; a negative scalar cannot meet uint8
         np.less(logs[a - lo : b - lo], max(t, 0), out=big[a - lo : b - lo])
         a = b
-    np.multiply(tau, k, out=tau, where=big)
+    # 1 + (k - 1) [P > 1] <= 16 fits the uint8 cell; one plain multiply
+    factor = big.view(np.uint8)
+    factor *= k - 1
+    factor += 1
+    tau *= factor
     if shadow is not None:
-        np.multiply(shadow, k, out=shadow, where=big)
+        shadow *= factor
         if float(shadow.max()) >= _UINT64_SAFE:
             raise OverflowError(
                 f"tau_{k} exceeds the 64-bit sieve range on [{lo}, {hi}); "

@@ -16,10 +16,11 @@ mod each q | d and keeps the entries of conductor q.  All three are exact
 algebra over the same class sums, so agreement to near machine precision is
 a strong check of the character machinery.
 
-Each segment lays its window out as a zero-padded (rows, d) grid, column j
-holding the n = j mod d, and sums the rows in order, so every class adds in
-ascending n.  Class sums are merged across segments in ascending order with
-Kahan compensation, which makes every result independent of the worker count.
+Each segment casts its tau values into a zero-padded (rows, d) grid, column
+j holding the n = j mod d, multiplies the bump weight in there (smooth
+cutoff) and sums the rows in order, so every class adds in ascending n.
+Class sums are merged across segments in ascending order with Kahan
+compensation, which makes every result independent of the worker count.
 """
 
 from __future__ import annotations
@@ -63,9 +64,10 @@ __all__ = [
 SIEVE_BUDGET = 2**31
 
 # Sieve entries per second, for cost estimates in error messages: the
-# median desk-probe.arith.sieve_mentries_per_s in BENCH_7.json (27.3 M/s,
-# 2^22 windows, one worker on a 2-CPU machine, numpy 2.4).
-_SIEVE_RATE = 2.73e7
+# median desk-probe.arith.sieve_mentries_per_s of the four traced runs in
+# BENCH_11.json (41.4 M/s, 2^22 windows, one worker on a 2-CPU machine,
+# numpy 2.4).
+_SIEVE_RATE = 4.14e7
 
 
 @dataclass(frozen=True)
@@ -99,19 +101,22 @@ def _segment_task(args) -> np.ndarray:
     """Sums of one sieve segment over every residue class mod d, units or not;
     top-level so worker pools can pickle it."""
     (k, lo, hi, d, x, cutoff, amplitude, segment_size, primes) = args
-    tau = tau_k_segment(k, lo, hi, segment_cap=segment_size, _primes=primes).values
     # The window, row by row in a zero-padded (rows, d) grid: column j holds
-    # the n = j mod d in ascending order.
+    # the n = j mod d in ascending order.  The sieve keeps tau below 2^62, so
+    # its int64 view casts to float64 exactly, and faster than uint64 does;
+    # tau is dropped before the weight allocates.
     start = lo % d
     rows = -(-(start + hi - lo) // d)
     grid = np.zeros(rows * d)
     window = grid[start : start + hi - lo]
+    tau = tau_k_segment(k, lo, hi, segment_cap=segment_size, _primes=primes).values
+    window[:] = tau.view(np.int64)
+    del tau
     if cutoff == "smooth":
         y = np.arange(lo, hi, dtype=np.float64)  # exact: the budget keeps n < 2^33
         y /= x
-        np.multiply(tau, SmoothWeight(amplitude=amplitude).values(y), out=window)
-    else:
-        window[:] = tau
+        # w(y), evaluated in place in y, times float(tau): bincount's product
+        window *= SmoothWeight(amplitude=amplitude).values(y, out=y)
     # Summing the rows one after another adds each class in ascending n, as
     # bincount does; numpy would sum a lone column (d = 1) pairwise instead,
     # so that one takes the running sum.

@@ -74,22 +74,6 @@ def _tanh_sinh_nodes(level: int) -> Tuple[np.ndarray, np.ndarray]:
     return nodes
 
 
-def _bump_shape(y: np.ndarray) -> np.ndarray:
-    """exp(-1/((y-1)(2-y))) on (1,2), 0 elsewhere; amplitude-free bump.
-
-    For y in (1, 2) both factors are exact and at least 2^-52, so their
-    product is positive; elsewhere (NaN included) it is not, so the sign of
-    the product is the support test.  Far out it overflows to -inf: still 0.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    t = np.subtract(y, 1.0, out=np.empty_like(y))
-    with np.errstate(over="ignore"):
-        t *= 2.0 - y
-    inside = t > 0.0
-    np.divide(-1.0, t, out=t, where=inside)
-    return np.exp(t, out=np.zeros_like(y), where=inside)
-
-
 @dataclass(frozen=True)
 class SmoothWeight:
     """Compactly supported weight amplitude * exp(-1/((y-1)(2-y))) on [1,2].
@@ -105,10 +89,31 @@ class SmoothWeight:
             return 0.0
         return self.amplitude * math.exp(-1.0 / ((y - 1.0) * (2.0 - y)))
 
-    def values(self, y: np.ndarray) -> np.ndarray:
-        out = _bump_shape(y)
-        out *= self.amplitude
-        return out
+    def values(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """w at every y, 0 outside (1, 2), NaN included; written to `out`
+        (which may be y itself) when given.
+
+        With t = y - 1, t (1 - t) is (y - 1)(2 - y) bit for bit on [1, 2],
+        where both differences are exact, and has its sign elsewhere (NaN
+        aside): it is positive exactly on (1, 2), where both factors are at
+        least 2^-52, and far out it overflows to -inf, still not positive.
+        So the product is also the support test, and the masks run only
+        when some y fails it.
+        """
+        y = np.asarray(y, dtype=np.float64)
+        t = np.subtract(y, 1.0, out=np.empty_like(y) if out is None else out)
+        with np.errstate(over="ignore"):
+            t *= np.subtract(1.0, t)
+        if t.min(initial=np.inf) > 0.0:
+            np.divide(-1.0, t, out=t)
+            np.exp(t, out=t)
+        else:
+            inside = t > 0.0
+            np.divide(-1.0, t, out=t, where=inside)
+            np.exp(t, out=t, where=inside)
+            np.copyto(t, 0.0, where=np.logical_not(inside, out=inside))
+        t *= self.amplitude
+        return t
 
     def scaled(self, factor: float) -> "SmoothWeight":
         return SmoothWeight(amplitude=self.amplitude * factor)

@@ -185,6 +185,44 @@ def test_sieve_matches_formula_at_the_shadow_threshold(k, width):
         _assert_sieve_matches_formula(k, hi - width, hi)
 
 
+WHEEL = 2**4 * 3**2 * 5 * 7
+WHEEL_WIDTHS = [1, WHEEL - 1, WHEEL, WHEEL + 1, 3 * WHEEL + 17]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    k=st.integers(1, 16),
+    turns=st.integers(0, 40),
+    residue=st.sampled_from([0, 1, WHEEL - 1]),
+    width=st.sampled_from(WHEEL_WIDTHS),
+)
+def test_sieve_wheel_head_copies(k, turns, residue, width):
+    # the powers 2^4, 3^2, 5 and 7 are sieved on the first WHEEL cells and
+    # copied across the window: windows one cell short of, at and past the
+    # period, and over three periods, starting on either side of a turn
+    lo = max(1, turns * WHEEL + residue)
+    _assert_sieve_matches_formula(k, lo, lo + width)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    k=st.integers(8, 16),
+    width=st.sampled_from(WHEEL_WIDTHS[1:]),
+    shadowed=st.booleans(),
+)
+def test_sieve_wheel_at_the_shadow_threshold(k, width, shadowed):
+    # As in test_sieve_matches_formula_at_the_shadow_threshold, the window
+    # ending at 2^L has no float64 shadow and the one ending at 2^L + 1 has
+    # one, here wider than the wheel, so the shadow multiplies the wheel's
+    # powers first.  That order moves each of its roundings but not their
+    # bound: under 1e-13 relative, and the shadow's 2^62 stands a factor 4
+    # below the uint64 wrap at 2^64.
+    # k >= 8 keeps 2^L <= 2^21, where tau_k_of is cheap.
+    L = min(e for e in range(64) if k**e >= 2**62)
+    hi = 2**L + shadowed
+    _assert_sieve_matches_formula(k, hi - width, hi)
+
+
 def _is_prime(n):
     return n > 1 and factorize(n).factors == ((n, 1),)
 

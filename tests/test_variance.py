@@ -218,6 +218,32 @@ def test_segment_class_sums_match_bincount_bit_for_bit(k, lo, width, d, cutoff, 
     assert np.array_equal(part, bincount_class_sums(k, lo, lo + width, d, x, cutoff, amplitude))
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    lo=st.integers(4 * 10**4, 10**8),
+    width=st.integers(5041, 4 * 5040),
+    d=st.sampled_from([1, 2, 97, 2310, 30011]),
+    place=st.sampled_from(["inside", "crosses 1", "crosses 2"]),
+    frac=st.floats(0.05, 0.95),
+)
+def test_segment_weight_on_windows_wider_than_the_wheel(k, lo, width, d, place, frac):
+    # the weight runs unmasked when every n / x lies in (1, 2) and masked
+    # when the window crosses an end of the support
+    hi = lo + width
+    if place == "inside":
+        x = (hi - 1) / 2 + frac * (lo - (hi - 1) / 2)
+        assert 1.0 < lo / x and (hi - 1) / x < 2.0
+    elif place == "crosses 1":
+        x = lo + frac * width
+    else:
+        x = (lo + frac * width) / 2
+    amplitude = make_bump_weight().amplitude
+    task = (k, lo, hi, d, x, "smooth", amplitude, width, None)
+    part = _segment_task(task)[units(d)]
+    assert np.array_equal(part, bincount_class_sums(k, lo, hi, d, x, "smooth", amplitude))
+
+
 def test_class_sums_compute_units_once(monkeypatch):
     # units(d) is an O(d) gcd pass; per segment it made a narrow window cost O(d)
     calls = []

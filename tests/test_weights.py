@@ -35,6 +35,30 @@ def test_support_boundaries_exact(w):
     assert w(1.1) > 0.0 and w(1.9) > 0.0
 
 
+def test_values_in_place_match_the_formula_bit_for_bit(w):
+    rng = np.random.default_rng(3)
+    specials = [1.0, 2.0, np.nextafter(1.0, 2.0), np.nextafter(2.0, 1.0), np.nextafter(1.0, 0.0)]
+    specials += [np.nextafter(2.0, 3.0), 0.0, -1e308, 1e308, np.inf, -np.inf, np.nan]
+    inside = np.concatenate([rng.uniform(1.0, 2.0, 10**5), np.arange(10**4, 2 * 10**4) / 10**4])
+    inside = inside[(inside > 1.0) & (inside < 2.0)]
+    # t (1 - t) with t = y - 1 must round as (y - 1)(2 - y) does
+    formula = w.amplitude * np.exp(-1.0 / ((inside - 1.0) * (2.0 - inside)))
+    assert np.array_equal(w.values(inside), formula)
+    mixed = np.concatenate([inside, specials, rng.uniform(-3.0, 5.0, 10**4)])
+    want = w.values(mixed)
+    assert np.array_equal(want[: inside.size], formula)
+    outside = ~((mixed > 1.0) & (mixed < 2.0))
+    assert np.all(want[outside] == 0.0) and not np.signbit(want[outside]).any()
+    for y in (inside, mixed):
+        expect = w.values(y)
+        buf = np.full_like(y, 7.0)
+        assert w.values(y, out=buf) is buf
+        assert np.array_equal(buf, expect)
+        own = y.copy()
+        assert w.values(own, out=own) is own
+        assert np.array_equal(own, expect)
+
+
 def test_normalization(w):
     assert abs(w.l2_norm_sq() - 1.0) < 1e-10
     assert abs(w.amplitude - AMPLITUDE) < 1e-9 * AMPLITUDE
