@@ -55,10 +55,8 @@ MAX_N = 2**63 - 1
 # Default sieve window: 2^22 entries keeps the working set cache-friendly.
 DEFAULT_SEGMENT_SIZE = 1 << 22
 
-# Shadow threshold for the uint64 sieve: a float64 product tracks the true
-# value to ~1e-13 relative, so anything certified < 2^62 cannot have wrapped.
-# Windows whose values are bounded below it in advance need no shadow.
-_UINT64_SAFE = float(2**62)
+# The largest tau_k(n) the sieve returns: a factor 4 under the uint64 wrap.
+_TAU_MAX = 2**62 - 1
 
 # The sieve's wheel: prime -> exponent of 2^4 3^2 5 7, and that product.
 _WHEEL_POWERS = {2: 4, 3: 2, 5: 1, 7: 1}
@@ -200,8 +198,8 @@ def tau_k_segment(
     copied across the window, and only primes with a multiple in the window
     are walked; the products are exact, so their order changes no value.
     The result is independent of how a larger range is cut into segments.
-    Windows whose values could reach 2^62 carry a float64 shadow of the same
-    products and raise rather than return a wrapped value.
+    Windows whose values could reach 2^62 check the cells before each
+    multiply and raise OverflowError rather than return a wrapped value.
     """
     _check_range(k, lo, hi)
     if hi - lo > segment_cap:
@@ -219,13 +217,10 @@ def tau_k_segment(
     ps = ps[(-lo) % ps < n]
     # tau_k(p^j) for j = 0..63 covers every exponent a 64-bit n can carry.
     binom = [comb(k + j - 1, k - 1) for j in range(64)]
-    # tau_k(p^e) <= k^e, so tau_k(n) <= k^Omega(n) <= k^floor(log2(hi - 1))
-    # on the window: below 2^62 no value can wrap and no shadow is needed.
-    # The shadow takes at most 2 * 64 roundings of 2^-53 relative, two per
-    # hit and one for the factor k, in whatever order the prime powers come
-    # (the wheel first, below).  So it stays within 1e-13 of the true value,
-    # and 2^62, a factor 4 below the wrap at 2^64, still certifies it.
-    shadow_safe = k ** ((hi - 1).bit_length() - 1) < _UINT64_SAFE
+    # tau_k(p^e) <= k^e, so tau_k(n) <= k^Omega(n) <= k^floor(log2(hi - 1)) on
+    # the window.  Past _TAU_MAX, each multiply first checks its cells; as no
+    # cell ever falls, the window raises exactly when some tau_k(n) >= 2^62.
+    guarded = k ** ((hi - 1).bit_length() - 1) > _TAU_MAX
     # The log test.  Write n = f P, f the part of n made of sieved primes
     # (p^2 < hi) and P the rest: 1 or one prime with P^2 >= hi, as two such
     # would exceed n.  Every hit on p^j adds r(p) = round(s log2 p) to the
@@ -254,11 +249,17 @@ def tau_k_segment(
     head = min(n, _WHEEL)
     tau = np.empty(n, dtype=np.uint64)
     logs = np.empty(n, dtype=np.uint8)
-    shadow = None if shadow_safe else np.empty(n)
     tau[:head] = 1
     logs[:head] = 0
-    if shadow is not None:
-        shadow[:head] = 1.0
+
+    def guard(cells: np.ndarray, factor: int, where: np.ndarray | bool = True) -> None:
+        """Raise unless every cell under `where` times factor stays <= _TAU_MAX."""
+        cap = _TAU_MAX // factor  # the plain max is cheap; the masked one decides
+        if cells.max() > cap and cells.max(initial=0, where=where) > cap:
+            raise OverflowError(
+                f"tau_{k} exceeds the 64-bit sieve range on [{lo}, {hi}); "
+                f"use tau_k_of for exact big-integer values"
+            )
 
     def strike(p: int, lp: int, j: int, last: int, stop: int) -> None:
         """Sieve p^j .. p^last on the first `stop` cells."""
@@ -268,10 +269,10 @@ def tau_k_segment(
             cells = tau[s:stop:q]
             if j > 1:
                 cells //= binom[j - 1]
+            if guarded:
+                guard(cells, binom[j])
             cells *= binom[j]
             logs[s:stop:q] += lp
-            if shadow is not None:
-                shadow[s:stop:q] *= (k + j - 1) / j
             q, j = q * p, j + 1
 
     for p, lp in zip(ps[:4].tolist(), lps):  # the wheel primes lead ps
@@ -280,7 +281,7 @@ def tau_k_segment(
     done = head
     while done < n:
         step = min(done, n - done)
-        for a in (tau, logs) if shadow is None else (tau, logs, shadow):
+        for a in (tau, logs):
             a[done : done + step] = a[:step]
         done += step
     for p, lp in zip(ps.tolist(), lps):
@@ -294,18 +295,13 @@ def tau_k_segment(
         # t <= 0 leaves no cell below it; a negative scalar cannot meet uint8
         np.less(logs[a - lo : b - lo], max(t, 0), out=big[a - lo : b - lo])
         a = b
+    if guarded:
+        guard(tau, k, big)
     # 1 + (k - 1) [P > 1] <= 16 fits the uint8 cell; one plain multiply
     factor = big.view(np.uint8)
     factor *= k - 1
     factor += 1
     tau *= factor
-    if shadow is not None:
-        shadow *= factor
-        if float(shadow.max()) >= _UINT64_SAFE:
-            raise OverflowError(
-                f"tau_{k} exceeds the 64-bit sieve range on [{lo}, {hi}); "
-                f"use tau_k_of for exact big-integer values"
-            )
     return TauSegment(k=k, lo=lo, hi=hi, values=tau)
 
 

@@ -18,7 +18,7 @@ from ._version import __version__
 from .arith import DEFAULT_SEGMENT_SIZE, tau_k_of, tau_k_segments
 from .constants import a_k_d, a_k_value, g_k
 from .plotting import emit_plot
-from .sweep import SCHEMA_VERSION, load_config, run_sweep
+from .sweep import load_config, record_line, run_sweep
 from .variance import experiment, gamma_eval
 from .verify import SUITE_NAMES, run_verify
 
@@ -153,9 +153,8 @@ def _cmd_variance(args) -> int:
     )
     print(json.dumps(report.to_dict(), sort_keys=True))
     if args.out:
-        record = {"schema_version": SCHEMA_VERSION, "report": report.to_dict()}
         with open(args.out, "a") as f:
-            f.write(json.dumps(record, sort_keys=True) + "\n")
+            f.write(record_line(report))
     return 0
 
 

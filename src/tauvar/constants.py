@@ -43,6 +43,7 @@ __all__ = [
     "gamma_3_piecewise",
     "gamma_3_piecewise_exact",
     "check_gamma_domain",
+    "check_prime_bound",
     "gamma_k_mc",
     "g_k",
     "gamma_integral_check",
@@ -134,14 +135,19 @@ def a_k_value(k: int, prime_bound: int = 10**6) -> ConstantValue:
     log of the omitted product by k^4 * sum_{p > bound} p^-2 <= k^4 / bound.
     """
     _check_k(k)
-    if prime_bound < 10**3:
-        raise ValueError(f"prime_bound must be >= 1000, got {prime_bound}")
+    check_prime_bound(prime_bound)
     if k == 1:
         return ConstantValue(1.0, "euler-product", 0.0, {"prime_bound": prime_bound})
     value = math.exp(_ak_log_sum(k, prime_bound))
     tail_log = float(k) ** 4 / prime_bound
     err = value * math.expm1(tail_log)
     return ConstantValue(value, "euler-product", err, {"prime_bound": prime_bound})
+
+
+def check_prime_bound(prime_bound: int) -> None:
+    """Raise ValueError unless a_k_value accepts prime_bound; sweep configs check it early."""
+    if prime_bound < 10**3:
+        raise ValueError(f"prime_bound must be >= 1000, got {prime_bound}")
 
 
 def a_k_d(k: int, d: int, prime_bound: int = 10**6) -> ConstantValue:
@@ -166,8 +172,7 @@ def _drop_local_factors(ak: ConstantValue, k: int, d: int) -> ConstantValue:
 def gamma_k_simple(k: int, c: float) -> float:
     """gamma_k(c) = (k - c)^(k^2 - 1) / (k^2 - 1)! on its validity range [k-1, k)."""
     _check_k(k)
-    if not (k - 1 <= c < k):
-        raise ValueError(f"c = {c} outside [k-1, k) = [{k - 1}, {k}) where the closed form holds")
+    _check_simple_domain(k, c)
     return (k - c) ** (k * k - 1) / factorial(k * k - 1)
 
 
@@ -258,6 +263,11 @@ def gamma_3_piecewise_exact(c: Fraction) -> Fraction:
     return GAMMA3_PIECEWISE.eval_exact(c)
 
 
+def _check_simple_domain(k: int, c: float) -> None:
+    if not (k - 1 <= c < k):
+        raise ValueError(f"gamma method 'simple' needs c in [k-1, k) = [{k - 1}, {k}), got c = {c}")
+
+
 def _vandermonde_sq(w: Sequence[np.ndarray]) -> np.ndarray:
     """prod_{i<j} (w_i - w_j)^2 over the coordinate arrays w_0, ..., w_(k-1)."""
     d = np.ones(w[0].shape, dtype=np.float64)
@@ -271,10 +281,7 @@ def check_gamma_domain(k: int, c: float, method: str, samples: int, seed: int) -
     """Raise ValueError unless `method` can evaluate gamma_k(c) with these Monte
     Carlo settings: the one rule for gamma_eval, gamma_k_mc and sweep configs."""
     if method == "simple":
-        if not (k - 1 < c < k):
-            raise ValueError(
-                f"gamma method 'simple' needs c in (k-1, k) = ({k - 1}, {k}), got c = {c}"
-            )
+        _check_simple_domain(k, c)
     elif method == "piecewise":
         if k != 3:
             raise ValueError("the explicit piecewise table is only available for k = 3")

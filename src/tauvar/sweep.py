@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .arith import DEFAULT_SEGMENT_SIZE, primes_upto
-from .constants import ConstantValue, _drop_local_factors, a_k_value, check_gamma_domain
+from .constants import ConstantValue, _drop_local_factors, a_k_value, check_gamma_domain, check_prime_bound
 from .variance import VarianceReport, _report, gamma_eval
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
     "parse_config",
     "load_config",
     "run_sweep",
+    "record_line",
     "read_records",
 ]
 
@@ -71,19 +72,9 @@ CSV_COLUMNS = (
     "runtime_s",
 )
 
-_KNOWN_KEYS = {
-    "k",
-    "d",
-    "c",
-    "cutoff",
-    "gamma_method",
-    "prime_bound",
-    "samples",
-    "seed",
-    "workers",
-    "out",
-    "segment_size",
-}
+_INT_KEYS = ("prime_bound", "samples", "seed", "workers", "segment_size")
+_TEXT_KEYS = ("cutoff", "gamma_method", "out")
+_KNOWN_KEYS = {"k", "d", "c", *_INT_KEYS, *_TEXT_KEYS}
 
 
 @dataclass(frozen=True)
@@ -110,6 +101,7 @@ class SweepConfig:
         for key in ("segment_size", "workers"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        check_prime_bound(self.prime_bound)
         for k in self.k_list:
             for c in self.c_list:
                 check_gamma_domain(k, c, self.gamma_method, self.samples, self.seed)
@@ -157,10 +149,10 @@ def parse_config(text: str) -> SweepConfig:
         kwargs["d_list"] = _parse_d_spec(raw["d"])
     if "c" in raw:
         kwargs["c_list"] = tuple(float(t) for t in raw["c"].split(",") if t.strip())
-    for key in ("prime_bound", "samples", "seed", "workers", "segment_size"):
+    for key in _INT_KEYS:
         if key in raw:
             kwargs[key] = int(raw[key])
-    for key in ("cutoff", "gamma_method", "out"):
+    for key in _TEXT_KEYS:
         if key in raw:
             kwargs[key] = raw[key]
     for key_name, field_name in (("k", "k_list"), ("d", "d_list"), ("c", "c_list")):
@@ -285,12 +277,7 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> SweepRe
             result.records.append(report)
             writer.writerow(_csv_row(report))
             csv_f.flush()
-            record = {
-                "schema_version": SCHEMA_VERSION,
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-                "report": report.to_dict(),
-            }
-            jsonl_f.write(json.dumps(record, sort_keys=True) + "\n")
+            jsonl_f.write(record_line(report))
             jsonl_f.flush()
 
         if config.workers > 1 and len(points) > 1:
@@ -322,6 +309,13 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> SweepRe
                     emit(point, None, f"{type(exc).__name__}: {exc}")
 
     return result
+
+
+def record_line(report: VarianceReport) -> str:
+    """One JSONL record, as a sweep and `tauvar variance --out` write it."""
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+    record = {"schema_version": SCHEMA_VERSION, "timestamp": stamp, "report": report.to_dict()}
+    return json.dumps(record, sort_keys=True) + "\n"
 
 
 def read_records(jsonl_path: str | Path) -> List[Dict[str, object]]:

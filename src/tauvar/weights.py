@@ -85,7 +85,7 @@ class SmoothWeight:
     amplitude: float
 
     def __call__(self, y: float) -> float:
-        if y <= 1.0 or y >= 2.0:
+        if not 1.0 < y < 2.0:  # NaN included, as in values()
             return 0.0
         return self.amplitude * math.exp(-1.0 / ((y - 1.0) * (2.0 - y)))
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -148,6 +149,36 @@ def test_tau_segment_overflow_guard():
     assert tau_k_of(16, n) > 2**62  # exact big-int path keeps working
     with pytest.raises(OverflowError):
         tau_k_segment(16, n, n + 1, segment_cap=16)
+    # the band between 2^61 and 2^63: one value just under 2^62 is returned
+    # exactly, one just over it raises
+    for k, factors, want in (
+        (12, {2: 3, 3: 15, 5: 3, 7: 3, 11: 6}, 4611563034396631040),
+        (16, {2: 1, 3: 18, 5: 12, 7: 1}, 4615632648375091200),
+    ):
+        n = math.prod(p**e for p, e in factors.items())
+        assert n <= MAX_N and 2**61 < want < 2**63
+        assert math.prod(tau_k_of(k, p**e) for p, e in factors.items()) == want
+        ps = np.array(sorted(factors), dtype=np.int64)
+        if want < 2**62:
+            assert tau_k_segment(k, n, n + 1, _primes=ps).values.tolist() == [want]
+        else:
+            with pytest.raises(OverflowError):
+                tau_k_segment(k, n, n + 1, _primes=ps)
+
+
+def test_guarded_window_checks_cells_in_place():
+    # k = 16 at 2^20 can pass 2^62, so the window is checked; the checks
+    # read the uint64 cells in place and add no array of the window's size
+    n = 2**20
+    tracemalloc.start()
+    try:
+        values = tau_k_segment(16, n, 2 * n, segment_cap=n).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 16 ** ((2 * n - 1).bit_length() - 1) >= 2**62
+    assert values.nbytes == 8 * n
+    assert peak / n <= 12
 
 
 def _assert_sieve_matches_formula(k, lo, hi):
@@ -177,9 +208,9 @@ def test_sieve_property_near_high_prime_powers(k, center, offset, width):
 @settings(max_examples=30, deadline=None)
 @given(k=st.integers(3, 16), width=st.integers(1, 12))
 def test_sieve_matches_formula_at_the_shadow_threshold(k, width):
-    # a window carries a float64 shadow once k^floor(log2(hi - 1)) >= 2^62, so
-    # the window ending at 2^L has none and the one ending at 2^L + 1 has one;
-    # k = 2 is left out, as its edge 2^62 would need primes up to 2^31
+    # a window checks its cells before each multiply once
+    # k^floor(log2(hi - 1)) >= 2^62, so the window ending at 2^L runs without
+    # checks and the one ending at 2^L + 1 with them; k = 2 is left out, as its edge 2^62 would need primes up to 2^31
     L = min(e for e in range(64) if k**e >= 2**62)
     for hi in (2**L, 2**L + 1):
         _assert_sieve_matches_formula(k, hi - width, hi)
@@ -208,18 +239,16 @@ def test_sieve_wheel_head_copies(k, turns, residue, width):
 @given(
     k=st.integers(8, 16),
     width=st.sampled_from(WHEEL_WIDTHS[1:]),
-    shadowed=st.booleans(),
+    guarded=st.booleans(),
 )
-def test_sieve_wheel_at_the_shadow_threshold(k, width, shadowed):
+def test_sieve_wheel_at_the_shadow_threshold(k, width, guarded):
     # As in test_sieve_matches_formula_at_the_shadow_threshold, the window
-    # ending at 2^L has no float64 shadow and the one ending at 2^L + 1 has
-    # one, here wider than the wheel, so the shadow multiplies the wheel's
-    # powers first.  That order moves each of its roundings but not their
-    # bound: under 1e-13 relative, and the shadow's 2^62 stands a factor 4
-    # below the uint64 wrap at 2^64.
+    # ending at 2^L runs without checks and the one ending at 2^L + 1 with
+    # them, here wider than the wheel, so the wheel's strikes on the first
+    # 5040 cells are checked too before the head is copied across.
     # k >= 8 keeps 2^L <= 2^21, where tau_k_of is cheap.
     L = min(e for e in range(64) if k**e >= 2**62)
-    hi = 2**L + shadowed
+    hi = 2**L + guarded
     _assert_sieve_matches_formula(k, hi - width, hi)
 
 
@@ -292,7 +321,7 @@ def test_log_test_near_2_62():
             ps = np.array([sieved], dtype=np.int64)
             if want < 2**61:
                 assert tau_k_segment(k, n, n + 1, _primes=ps).values.tolist() == [want]
-            else:  # the float64 shadow catches these
+            else:  # the check before the multiply catches these
                 assert want > 2**63
                 with pytest.raises(OverflowError):
                     tau_k_segment(k, n, n + 1, _primes=ps)

@@ -7,6 +7,7 @@ import pytest
 from tauvar import cli
 from tauvar.arith import tau_k_of, tau_k_segments
 from tauvar.cli import main
+from tauvar.sweep import SweepConfig, read_records, run_sweep
 from tauvar.verify import SUITE_NAMES
 
 
@@ -97,6 +98,9 @@ def test_gamma_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "gamma", "--k", "3", "--c", "1.5")
     assert code == 2
     assert "error:" in err
+    code, out, _ = run_cli(capsys, "gamma", "--k", "3", "--c", "2.0")  # c = k - 1 is in [k-1, k)
+    assert code == 0
+    assert json.loads(out)["value"] == 1.0 / 40320.0
 
 
 def test_variance_subcommand(capsys, tmp_path):
@@ -108,8 +112,13 @@ def test_variance_subcommand(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["variance"] == 2.0
-    stored = json.loads(record_file.read_text())
+    [stored] = read_records(record_file)
     assert stored["report"]["variance"] == 2.0
+    # the same record format as a sweep's
+    cfg = SweepConfig(k_list=(2,), d_list=(4,), c_list=(1.6609640474436813,), cutoff="sharp")
+    [swept] = read_records(run_sweep(cfg, out_dir=tmp_path / "sweep").jsonl_path)
+    assert stored.keys() == swept.keys()
+    assert stored["report"].keys() == swept["report"].keys()
 
     code, _, err = run_cli(
         capsys, "variance", "--k", "2", "--d", "101", "--c", "1.5", "--cutoff", "sharp",

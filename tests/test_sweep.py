@@ -73,7 +73,12 @@ def test_config_validates_gamma_domain():
         parse_config("k = 6\nd = 4\nc = 5.5\ngamma_method = mc\n")
     with pytest.raises(ValueError, match="samples = 100 below the floor 10000"):
         parse_config("k = 2\nd = 4\nc = 1.5\ngamma_method = mc\nsamples = 100\n")
+    # likewise a_k's truncation floor
+    with pytest.raises(ValueError, match="prime_bound must be >= 1000, got 10"):
+        parse_config("k = 2\nd = 4\nc = 1.5\nprime_bound = 10\n")
     SweepConfig(k_list=(3,), d_list=(4,), c_list=(2.5,))  # fine
+    SweepConfig(k_list=(3,), d_list=(4,), c_list=(2.0,))  # c = k - 1 is in [k-1, k)
+    SweepConfig(k_list=(2,), d_list=(4,), c_list=(1.0,))
 
 
 def test_config_rejects_nonpositive_segment_size_and_workers():

@@ -288,6 +288,7 @@ def test_sieve_budget_rejected_with_estimate():
 
 def test_gamma_eval_domains():
     assert gamma_eval(3, 2.5, "simple").value == gamma_k_simple(3, 2.5)
+    assert gamma_eval(3, 2.0, "simple").value == 1.0 / math.factorial(8)  # c = k - 1
     assert gamma_eval(3, 0.5, "piecewise").method == "piecewise"
     with pytest.raises(ValueError):
         gamma_eval(3, 1.5, "simple")

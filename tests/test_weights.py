@@ -33,6 +33,7 @@ def test_support_boundaries_exact(w):
     assert w(0.5) == 0.0 and w(2.5) == 0.0
     assert np.all(w.values(np.array([0.0, 1.0, 2.0, 3.0])) == 0.0)
     assert w(1.1) > 0.0 and w(1.9) > 0.0
+    assert w(math.nan) == 0.0  # NaN is outside (1, 2), as in values()
 
 
 def test_values_in_place_match_the_formula_bit_for_bit(w):
