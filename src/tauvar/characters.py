@@ -33,7 +33,6 @@ __all__ = [
     "enumerate_characters",
     "enumerate_primitive",
     "conductor",
-    "induce",
     "gauss_sum",
     "primitive_orthogonality_sum",
 ]
@@ -193,30 +192,14 @@ class DirichletCharacter:
                 raise ValueError(f"exponent {m} outside range of order {n}")
 
     @property
-    def modulus(self) -> int:
-        return self.group.d
-
-    @property
     def is_principal(self) -> bool:
         return all(m == 0 for m in self.exponents)
 
-    def value_index(self, n: int) -> int | None:
-        """Index j with chi(n) = zeta_lambda^j, or None when gcd(n, d) > 1."""
-        g = self.group
-        a = n % g.d
-        if g.d > 1 and gcd(a, g.d) != 1:
-            return None
-        lam = g.exponent
-        idx = 0
-        for m, c in zip(self.exponents, g.components):
-            idx += m * (lam // c.order) * int(c.dlog[a % c.modulus])
-        return idx % lam
-
     def __call__(self, n: int) -> complex:
-        idx = self.value_index(n)
-        if idx is None:
+        d = self.group.d
+        if gcd(n, d) != 1:
             return 0.0 + 0.0j
-        return complex(self.group.roots[idx])
+        return complex(self.values_on(np.array([n % d]))[0])
 
     def values_on(self, residues: np.ndarray) -> np.ndarray:
         """Vectorized values on an array of unit residues mod d."""
@@ -230,10 +213,8 @@ class DirichletCharacter:
     @property
     def parity(self) -> int:
         """1 when chi(-1) = -1, else 0."""
-        if self.group.d <= 2:
-            return 0
-        v = self.value_index(self.group.d - 1)
-        return 0 if v == 0 else 1
+        # chi(-1) is the table's exact 1.0 or -1.0
+        return 0 if self(-1) == 1.0 else 1
 
     @property
     def is_primitive(self) -> bool:
@@ -263,37 +244,6 @@ def enumerate_primitive(q: int | CharacterGroup) -> Iterator[DirichletCharacter]
 def conductor(chi: DirichletCharacter) -> int:
     """Least f | d such that chi is trivial on units congruent to 1 mod f."""
     return int(chi.group.conductors[chi.exponents])
-
-
-def induce(chi1: DirichletCharacter, d: int) -> DirichletCharacter:
-    """The character mod d with values chi1(n) [gcd(n, d) = 1], q = chi1 modulus | d.
-
-    Each basis generator g of (Z/d)* lives in one prime-power component; its
-    CRT lift (g at that component, 1 elsewhere) is a unit mod d, and the
-    induced exponents are read off from chi1 at those lifts.
-    """
-    q = chi1.modulus
-    if d % q != 0:
-        raise ValueError(f"cannot induce: modulus {q} does not divide {d}")
-    group = CharacterGroup(d)
-    lam_q = chi1.group.exponent
-    exps = []
-    for c in group.components:
-        m2 = d // c.modulus
-        if m2 == 1:
-            lift = c.generator % d
-        else:
-            lift = (
-                c.generator * m2 * pow(m2, -1, c.modulus) + c.modulus * pow(c.modulus, -1, m2)
-            ) % d
-        t = chi1.value_index(lift % q)
-        if t is None:  # unreachable: the lift is a unit mod d, hence mod q
-            raise ValueError("generator lift is not a unit modulo the inducing modulus")
-        # chi1(lift) is an order_i-th root of unity because lift^order_i = 1 mod d
-        num = t * c.order
-        assert num % lam_q == 0
-        exps.append((num // lam_q) % c.order)
-    return DirichletCharacter(group, tuple(exps))
 
 
 def gauss_sum(chi: DirichletCharacter) -> complex:

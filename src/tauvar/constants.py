@@ -171,7 +171,6 @@ def _drop_local_factors(ak: ConstantValue, k: int, d: int) -> ConstantValue:
 
 def gamma_k_simple(k: int, c: float) -> float:
     """gamma_k(c) = (k - c)^(k^2 - 1) / (k^2 - 1)! on its validity range [k-1, k)."""
-    _check_k(k)
     _check_simple_domain(k, c)
     return (k - c) ** (k * k - 1) / factorial(k * k - 1)
 
@@ -264,6 +263,7 @@ def gamma_3_piecewise_exact(c: Fraction) -> Fraction:
 
 
 def _check_simple_domain(k: int, c: float) -> None:
+    _check_k(k)
     if not (k - 1 <= c < k):
         raise ValueError(f"gamma method 'simple' needs c in [k-1, k) = [{k - 1}, {k}), got c = {c}")
 

@@ -101,6 +101,8 @@ class SweepConfig:
         for key in ("segment_size", "workers"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if min(self.d_list, default=1) < 1:
+            raise ValueError(f"modulus must be >= 1, got {min(self.d_list)}")
         check_prime_bound(self.prime_bound)
         for k in self.k_list:
             for c in self.c_list:
@@ -129,7 +131,7 @@ def _parse_d_spec(spec: str) -> Tuple[int, ...]:
 
 
 def parse_config(text: str) -> SweepConfig:
-    """Parse the flat key = value format; unknown keys are rejected."""
+    """Parse the flat key = value format; unknown and repeated keys are rejected."""
     raw: Dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -141,6 +143,8 @@ def parse_config(text: str) -> SweepConfig:
         key = key.strip()
         if key not in _KNOWN_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in raw:
+            raise ValueError(f"config line {lineno}: repeated key {key!r}")
         raw[key] = value.strip()
     kwargs: Dict[str, object] = {}
     if "k" in raw:

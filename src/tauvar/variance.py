@@ -16,9 +16,11 @@ mod each q | d and keeps the entries of conductor q.  All three are exact
 algebra over the same class sums, so agreement to near machine precision is
 a strong check of the character machinery.
 
-Each segment casts its tau values into a zero-padded (rows, d) grid, column
-j holding the n = j mod d, multiplies the bump weight in there (smooth
-cutoff) and sums the rows in order, so every class adds in ascending n.
+The smooth cutoff is always the fixed bump normalized to int w^2 = 1
+(`make_bump_weight`).  Each segment casts its tau values into a zero-padded
+(rows, d) grid, column j holding the n = j mod d, multiplies that weight in
+there (smooth cutoff) and sums the rows in order, so every class adds in
+ascending n.
 Class sums are merged across segments in ascending order with Kahan
 compensation, which makes every result independent of the worker count.
 """
@@ -81,7 +83,6 @@ class ClassSums:
     units: np.ndarray  # sorted unit residues mod d
     sums: np.ndarray  # float64, aligned with units
     weight_id: Optional[str]
-    segment_size: int
 
     @property
     def total(self) -> float:
@@ -128,12 +129,14 @@ def compute_class_sums(
     d: int,
     x: float,
     cutoff: str,
-    weight: Optional[SmoothWeight] = None,
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
 ) -> ClassSums:
     """Stream tau_k segments once and accumulate the per-class sums.
+
+    The smooth cutoff weighs n by w(n/X), w the fixed L2-normalized bump of
+    make_bump_weight(); the sharp cutoff by [n <= X].
 
     Segments may be sieved concurrently (workers > 1); partial class vectors
     are merged in ascending segment order with Kahan compensation, so the
@@ -154,13 +157,10 @@ def compute_class_sums(
             f"range of {hi - lo} entries exceeds the sieve budget {SIEVE_BUDGET} "
             f"(estimated {est:.0f} s of sieving); reduce X or raise SIEVE_BUDGET"
         )
-    amplitude = None
-    weight_id = None
+    amplitude = weight_id = None
     if cutoff == "smooth":
-        if weight is None:
-            weight = make_bump_weight()
-        amplitude = weight.amplitude
-        weight_id = weight.weight_id
+        weight = make_bump_weight()
+        amplitude, weight_id = weight.amplitude, weight.weight_id
     primes = primes_upto(math.isqrt(hi - 1))
     tasks = [
         (k, s_lo, min(s_lo + segment_size, hi), d, x, cutoff, amplitude, segment_size, primes)
@@ -186,37 +186,21 @@ def compute_class_sums(
         units=us,
         sums=acc[us],
         weight_id=weight_id,
-        segment_size=segment_size,
     )
 
 
 def _route_class_sums(
-    k: int,
-    d: int,
-    x: float,
-    cutoff: str,
-    weight: Optional[SmoothWeight],
-    class_sums: Optional[ClassSums],
-    segment_size: int,
-    workers: int,
+    k: int, d: int, x: float, cutoff: str, class_sums: Optional[ClassSums]
 ) -> ClassSums:
     """The class sums a variance route works on: the given ones, which must
-    have been built for (k, d, x, cutoff) and for the weight if one is given,
-    or freshly computed ones."""
+    have been built for (k, d, x, cutoff), or freshly computed ones."""
     if class_sums is None:
-        return compute_class_sums(
-            k, d, x, cutoff, weight, segment_size=segment_size, workers=workers
-        )
+        return compute_class_sums(k, d, x, cutoff)
     built_for = (class_sums.k, class_sums.d, class_sums.x, class_sums.cutoff)
     if built_for != (k, d, x, cutoff):
         raise ValueError(
             f"class sums were built for (k, d, x, cutoff) = {built_for}, "
             f"not {(k, d, x, cutoff)}"
-        )
-    if weight is not None and weight.weight_id != class_sums.weight_id:
-        raise ValueError(
-            f"class sums were built with weight {class_sums.weight_id!r}, "
-            f"not {weight.weight_id!r}"
         )
     return class_sums
 
@@ -231,14 +215,11 @@ def variance_direct(
     d: int,
     x: float,
     cutoff: str,
-    weight: Optional[SmoothWeight] = None,
     *,
     class_sums: Optional[ClassSums] = None,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
 ) -> float:
     """sum over units a of |S_a - (1/phi) sum S_a|^2, from the class sums."""
-    cs = _route_class_sums(k, d, x, cutoff, weight, class_sums, segment_size, workers)
+    cs = _route_class_sums(k, d, x, cutoff, class_sums)
     dev = _deviations(cs)
     return float(np.dot(dev, dev))
 
@@ -248,11 +229,8 @@ def variance_characters(
     d: int,
     x: float,
     cutoff: str,
-    weight: Optional[SmoothWeight] = None,
     *,
     class_sums: Optional[ClassSums] = None,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
 ) -> float:
     """(1/phi(d)) sum over nonprincipal chi of |sum_n tau_k(n) chi(n) omega(n)|^2.
 
@@ -261,7 +239,7 @@ def variance_characters(
     every chi; the deviations from the mean stand in for S_a, which leaves
     each nonprincipal term unchanged and zeroes the principal one, skipped.
     """
-    cs = _route_class_sums(k, d, x, cutoff, weight, class_sums, segment_size, workers)
+    cs = _route_class_sums(k, d, x, cutoff, class_sums)
     group = CharacterGroup(d)
     power = np.abs(group.transform(cs.units, _deviations(cs))) ** 2
     return float(np.sum(power.ravel()[1:])) / group.phi
@@ -272,11 +250,8 @@ def variance_primitive(
     d: int,
     x: float,
     cutoff: str,
-    weight: Optional[SmoothWeight] = None,
     *,
     class_sums: Optional[ClassSums] = None,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
 ) -> float:
     """(1/phi(d)) sum over d = q r, q > 1, and primitive chi1 mod q of
     |sum_{(n,r)=1} tau_k(n) chi1(n) omega(n)|^2.
@@ -285,7 +260,7 @@ def variance_primitive(
     reduces to unit classes mod d.  The deviations folded mod q take one FFT
     over the characters mod q, and the entries of conductor q are kept.
     """
-    cs = _route_class_sums(k, d, x, cutoff, weight, class_sums, segment_size, workers)
+    cs = _route_class_sums(k, d, x, cutoff, class_sums)
     dev = _deviations(cs)
     total = 0.0
     for q in divisors(d)[1:]:

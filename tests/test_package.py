@@ -52,3 +52,14 @@ def test_import_leaves_scipy_unloaded():
     # scipy loads on first use and gives the values this process computes
     assert got["log_gamma"] == repr(log_gamma(0.5))
     assert got["parseval"] == repr(parseval_check(make_bump_weight()))
+
+
+def test_benchmark_traced_targets_exist(monkeypatch):
+    # the benchmark's traced replay looks each target up in its owner's
+    # namespace; a deleted or renamed public function would break that run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    targets = workloads.targets()
+    assert len(targets) == 18
+    missing = [f"{t.owner.__name__}.{t.attr}" for t in targets if t.attr not in vars(t.owner)]
+    assert not missing, f"benchmark traces {missing}, which do not exist"

@@ -76,6 +76,9 @@ def test_config_validates_gamma_domain():
     # likewise a_k's truncation floor
     with pytest.raises(ValueError, match="prime_bound must be >= 1000, got 10"):
         parse_config("k = 2\nd = 4\nc = 1.5\nprime_bound = 10\n")
+    # and the simple evaluator's bound on k
+    with pytest.raises(ValueError, match="k = 17 exceeds the supported bound 16"):
+        SweepConfig(k_list=(17,), d_list=(4, 5), c_list=(16.5,))
     SweepConfig(k_list=(3,), d_list=(4,), c_list=(2.5,))  # fine
     SweepConfig(k_list=(3,), d_list=(4,), c_list=(2.0,))  # c = k - 1 is in [k-1, k)
     SweepConfig(k_list=(2,), d_list=(4,), c_list=(1.0,))
@@ -87,6 +90,20 @@ def test_config_rejects_nonpositive_segment_size_and_workers():
             with pytest.raises(ValueError, match=f"{key} must be >= 1"):
                 parse_config(f"k = 2\nd = 4\nc = 1.5\n{key} = {value}\n")
     assert parse_config("k = 2\nd = 4\nc = 1.5\nsegment_size = 1\nworkers = 1\n")
+
+
+def test_config_rejects_moduli_below_1():
+    for spec in ("0,5", "5,-3"):
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            parse_config(f"k = 2\nd = {spec}\nc = 1.5\n")
+    assert parse_config("k = 2\nd = 1,5\nc = 1.5\n").d_list == (1, 5)
+
+
+def test_parse_config_rejects_repeated_key():
+    with pytest.raises(ValueError, match="config line 4: repeated key 'k'"):
+        parse_config("k = 2\nd = 4\nc = 1.5\nk = 3\n")
+    with pytest.raises(ValueError, match="config line 3: repeated key 'workers'"):
+        parse_config("k = 2\nworkers = 1\nworkers = 2\nd = 4\nc = 1.5\n")
 
 
 def test_empty_d_list_gives_header_only_csv(tmp_path):
