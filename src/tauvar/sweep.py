@@ -7,13 +7,15 @@ usable prefix, and re-running an identical configuration reproduces the CSV
 byte for byte apart from the runtime column, regardless of worker count.
 
 The main term's constants do not depend on d: gamma_k(c) depends on (k, c)
-only and a_k on k only.  Each sweep evaluates them once per distinct key, in
-the process pool when workers > 1, and builds every point's report from the
-shared values with the same builder as experiment(), so each record equals
-experiment() at that point in every field but wall_time_s.  A record's
-runtime_s (wall_time_s) is that point's own time, without the shared
-constants.  Nothing is kept between sweeps: a second run_sweep evaluates
-the constants again.
+only and a_k on k only.  Each sweep evaluates them once per distinct key of
+its points, as futures, and builds every point's report from the shared
+values with the same builder as experiment(), so each record equals
+experiment() at that point in every field but wall_time_s.  Constants and
+points take one path whatever the worker count: a single `submit` that is
+the process pool's when workers > 1, and otherwise runs the call in process
+and returns a finished future.  A record's runtime_s (wall_time_s) is that
+point's own time, without the shared constants.  Nothing is kept between
+sweeps: a second run_sweep evaluates the constants again.
 
 Configuration files are flat "key = value" text (diff-friendly provenance):
 
@@ -26,6 +28,7 @@ Configuration files are flat "key = value" text (diff-friendly provenance):
     samples = 1000000        # Monte-Carlo sample count (gamma_method = mc)
     seed = 1                 # Monte-Carlo seed
     workers = 1              # worker processes
+    segment_size = 4194304   # sieve segment length (the default, 2^22)
     out = runs/sweep1        # output directory
 """
 
@@ -36,8 +39,8 @@ import json
 import sys
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -118,16 +121,13 @@ class SweepConfig:
 def _parse_d_spec(spec: str) -> Tuple[int, ...]:
     spec = spec.strip()
     if spec.startswith("primes:"):
-        body = spec[len("primes:") :]
-        lo_s, _, hi_s = body.partition("..")
-        lo, hi = int(lo_s), int(hi_s)
+        lo_s, sep, hi_s = spec[len("primes:") :].partition("..")
+        lo, hi = (int(lo_s), int(hi_s)) if sep else (0, 0)
         if not (2 <= lo <= hi):
             raise ValueError(f"bad prime range {spec!r}")
         ps = primes_upto(hi)
         return tuple(int(p) for p in ps[ps >= lo])
-    if not spec:
-        return ()
-    return tuple(int(tok) for tok in spec.split(","))
+    return tuple(int(tok) for tok in spec.split(",") if tok.strip())
 
 
 def parse_config(text: str) -> SweepConfig:
@@ -197,41 +197,14 @@ def _csv_row(report: VarianceReport) -> List[str]:
     ]
 
 
-class _SharedConstants:
-    """The sweep's distinct constants, a_k per k and gamma_k(c) per (k, c).
-
-    `launch` receives each evaluation as a zero-argument callable and returns
-    a zero-argument getter for its value: the callable itself (serial) or a
-    pool future's result.  Each getter runs once, on first use; a constant
-    that raised raises again for every point that needs it.
-    """
-
-    def __init__(self, config: SweepConfig, launch: Callable[[Callable], Callable]):
-        tasks: Dict[tuple, Callable[[], ConstantValue]] = {}
-        for k in config.k_list:
-            tasks[("a_k", k)] = partial(a_k_value, k, config.prime_bound)
-            for c in config.c_list:
-                tasks[("gamma", k, c)] = partial(
-                    gamma_eval, k, c, config.gamma_method,
-                    mc_samples=config.samples, mc_seed=config.seed,
-                )
-        self._getters = {key: launch(task) for key, task in tasks.items()}
-        self._values: Dict[tuple, object] = {}
-
-    def _get(self, key: tuple) -> ConstantValue:
-        if key not in self._values:
-            try:
-                self._values[key] = self._getters[key]()
-            except Exception as exc:  # noqa: BLE001 - re-raised for each point
-                self._values[key] = exc
-        value = self._values[key]
-        if isinstance(value, Exception):
-            raise value
-        return value
-
-    def of(self, point: Tuple[int, int, float]) -> Tuple[ConstantValue, ConstantValue]:
-        k, _, c = point
-        return self._get(("a_k", k)), self._get(("gamma", k, c))
+def _run_in_process(fn: Callable, *args, **kwargs) -> Future:
+    """Run fn here and now; a finished future holds its value or its exception."""
+    done: Future = Future()
+    try:
+        done.set_result(fn(*args, **kwargs))
+    except Exception as exc:  # noqa: BLE001 - per-point isolation
+        done.set_exception(exc)
+    return done
 
 
 def _run_point(
@@ -250,67 +223,71 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> SweepRe
 
     Per-point failures are reported on stderr and recorded; remaining points
     still run.  A constant that fails fails every point that needs it.
-    Constants and points are dispatched to a process pool when workers > 1,
-    but results are always written in input order.
+    Constants and points go through one `submit`: a process pool's when
+    workers > 1, otherwise one that runs the call in this process.  Either
+    way each constant is one future, submitted before the first point, and
+    results are written in input order.  In process, a point
+    runs only after the previous row is flushed.
     """
     out = Path(out_dir) if out_dir is not None else (Path(config.out) if config.out else None)
     if out is None:
         raise ValueError("sweep needs an output directory (config key 'out' or argument)")
     out.mkdir(parents=True, exist_ok=True)
-    probe = out / ".write-probe"
-    probe.write_text("")  # fail fast if the directory is not writable
-    probe.unlink()
 
     result = SweepResult(config=config)
     result.csv_path = out / "summary.csv"
     result.jsonl_path = out / "results.jsonl"
     points = list(config.points())
+    parallel = config.workers > 1 and len(points) > 1
 
+    # Opening the outputs before any work fails fast on an unwritable directory.
     with open(result.csv_path, "w", newline="") as csv_f, open(
         result.jsonl_path, "w"
-    ) as jsonl_f:
+    ) as jsonl_f, (
+        ProcessPoolExecutor(max_workers=config.workers) if parallel else nullcontext()
+    ) as pool:
         writer = csv.writer(csv_f)
         writer.writerow(CSV_COLUMNS)
         csv_f.flush()
+        submit = pool.submit if parallel else _run_in_process
 
-        def emit(point: Tuple[int, int, float], report: Optional[VarianceReport], err: str | None) -> None:
-            if report is None:
+        # Keyed from the points, so an empty sweep evaluates nothing, and
+        # submitted in point order, a_k(k) ahead of its gamma(k, c) values.
+        constants: Dict[tuple, Future] = {}
+        for k, _, c in points:
+            if ("a_k", k) not in constants:
+                constants[("a_k", k)] = submit(a_k_value, k, config.prime_bound)
+            if ("gamma", k, c) not in constants:
+                constants[("gamma", k, c)] = submit(
+                    gamma_eval, k, c, config.gamma_method,
+                    mc_samples=config.samples, mc_seed=config.seed,
+                )
+
+        def queue(point: Tuple[int, int, float]) -> Future:
+            k, _, c = point
+            try:
+                ak, gamma = constants[("a_k", k)].result(), constants[("gamma", k, c)].result()
+                return submit(_run_point, point, config, ak, gamma)
+            except Exception as exc:  # noqa: BLE001 - a failed constant or a broken pool
+                failed: Future = Future()
+                failed.set_exception(exc)
+                return failed
+
+        # The pool gets every point up front; in process they run one by one.
+        queued = list(map(queue, points)) if parallel else map(queue, points)
+        for point, fut in zip(points, queued):
+            try:
+                report = fut.result()
+            except Exception as exc:  # noqa: BLE001 - per-point isolation
+                err = f"{type(exc).__name__}: {exc}"
                 print(f"sweep point {point} failed: {err}", file=sys.stderr)
-                result.failures.append((point, err or "unknown error"))
-                return
+                result.failures.append((point, err))
+                continue
             result.records.append(report)
             writer.writerow(_csv_row(report))
             csv_f.flush()
             jsonl_f.write(record_line(report))
             jsonl_f.flush()
-
-        if config.workers > 1 and len(points) > 1:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                # The constants go to the pool ahead of the points, which keeps
-                # the parent small; a point is queued once its constants are in.
-                shared = _SharedConstants(config, lambda task: pool.submit(task).result)
-
-                def submit(point: Tuple[int, int, float]) -> Future:
-                    try:
-                        return pool.submit(_run_point, point, config, *shared.of(point))
-                    except Exception as exc:  # noqa: BLE001 - per-point isolation
-                        failed: Future = Future()
-                        failed.set_exception(exc)
-                        return failed
-
-                futures = [submit(point) for point in points]
-                for point, fut in zip(points, futures):
-                    try:
-                        emit(point, fut.result(), None)
-                    except Exception as exc:  # noqa: BLE001 - per-point isolation
-                        emit(point, None, f"{type(exc).__name__}: {exc}")
-        else:
-            shared = _SharedConstants(config, lambda task: task)
-            for point in points:
-                try:
-                    emit(point, _run_point(point, config, *shared.of(point)), None)
-                except Exception as exc:  # noqa: BLE001 - per-point isolation
-                    emit(point, None, f"{type(exc).__name__}: {exc}")
 
     return result
 

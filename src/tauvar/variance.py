@@ -124,6 +124,29 @@ def _segment_task(args) -> np.ndarray:
     return grid.reshape(rows, d).sum(axis=0) if d > 1 else np.cumsum(grid)[-1:]
 
 
+def _class_sum_range(
+    d: int, x: float, cutoff: str, segment_size: int, workers: int
+) -> Tuple[int, int]:
+    """Check compute_class_sums' arguments, before any work, and return the
+    range [lo, hi) it sieves; experiment() checks them before its constants."""
+    if d < 1:
+        raise ValueError(f"modulus must be >= 1, got {d}")
+    if not (math.isfinite(x) and x >= 1.0):
+        raise ValueError(f"X must be finite and >= 1, got {x}")
+    if segment_size < 1:
+        raise ValueError(f"segment_size must be positive, got {segment_size}")
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
+    lo, hi = _sum_range(x, cutoff)
+    if hi - lo > SIEVE_BUDGET:
+        est = (hi - lo) / _SIEVE_RATE
+        raise ValueError(
+            f"range of {hi - lo} entries exceeds the sieve budget {SIEVE_BUDGET} "
+            f"(estimated {est:.0f} s of sieving); reduce X or raise SIEVE_BUDGET"
+        )
+    return lo, hi
+
+
 def compute_class_sums(
     k: int,
     d: int,
@@ -142,21 +165,7 @@ def compute_class_sums(
     are merged in ascending segment order with Kahan compensation, so the
     result is bit-identical for any worker count.
     """
-    if d < 1:
-        raise ValueError(f"modulus must be >= 1, got {d}")
-    if not (math.isfinite(x) and x >= 1.0):
-        raise ValueError(f"X must be finite and >= 1, got {x}")
-    if segment_size < 1:
-        raise ValueError(f"segment_size must be positive, got {segment_size}")
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-    lo, hi = _sum_range(x, cutoff)
-    if hi - lo > SIEVE_BUDGET:
-        est = (hi - lo) / _SIEVE_RATE
-        raise ValueError(
-            f"range of {hi - lo} entries exceeds the sieve budget {SIEVE_BUDGET} "
-            f"(estimated {est:.0f} s of sieving); reduce X or raise SIEVE_BUDGET"
-        )
+    lo, hi = _class_sum_range(d, x, cutoff, segment_size, workers)
     amplitude = weight_id = None
     if cutoff == "smooth":
         weight = make_bump_weight()
@@ -366,6 +375,11 @@ def experiment(
     except wall_time_s, for any worker count.
     """
     start = time.perf_counter()
+    try:
+        x = float(d) ** c
+    except (OverflowError, ZeroDivisionError):  # beyond float range, or 0 ** (c < 0)
+        x = math.inf
+    _class_sum_range(d, x, cutoff, segment_size, workers)
     gamma = gamma_eval(k, c, gamma_method, mc_samples=mc_samples, mc_seed=mc_seed)
     akd = a_k_d(k, d, prime_bound)
     return _report(k, d, c, cutoff, gamma_method, akd, gamma, segment_size, workers, start)

@@ -54,6 +54,18 @@ def test_parse_config_prime_generator():
     assert cfg.d_list == (101, 103, 107, 109, 113, 127)
 
 
+def test_parse_config_d_list_skips_empty_tokens():
+    assert parse_config("k = 2\nd = 4,5,\nc = 1.5").d_list == (4, 5)
+    assert parse_config("k = 2\nd = 4, ,5\nc = 1.3,1.7,").d_list == (4, 5)
+
+
+def test_parse_config_rejects_prime_spec_without_range():
+    with pytest.raises(ValueError, match=re.escape("bad prime range 'primes:100'")):
+        parse_config("k = 2\nd = primes:100\nc = 1.5")
+    with pytest.raises(ValueError, match=re.escape("bad prime range 'primes:200..100'")):
+        parse_config("k = 2\nd = primes:200..100\nc = 1.5")
+
+
 def test_parse_config_rejects_unknown_and_missing_keys():
     with pytest.raises(ValueError, match="unknown key"):
         parse_config("k = 2\nd = 4\nc = 1.5\nbogus = 1\n")
@@ -162,17 +174,41 @@ def test_sweep_determinism_across_runs_and_workers(tmp_path):
     assert t1 == t2 == t8
 
 
-def test_sweep_isolates_point_failures(tmp_path, capsys):
-    # the middle d is fine; the huge c pushes X over the sieve budget
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_isolates_point_failures(tmp_path, capsys, workers):
+    # the last d is fine; the huge c pushes X = d^c over the sieve budget,
+    # which at workers = 2 is raised in a pool worker
     cfg = SweepConfig(
-        k_list=(5,), d_list=(10**6, 11), c_list=(4.5,), gamma_method="mc", samples=10**4
+        k_list=(5,), d_list=(10**6, 11), c_list=(4.5,), gamma_method="mc", samples=10**4,
+        workers=workers,
     )
     res = run_sweep(cfg, out_dir=tmp_path / "fail")
     assert not res.ok
     assert len(res.failures) == 1 and len(res.records) == 1
-    assert res.failures[0][0] == (5, 10**6, 4.5)
+    point, err = res.failures[0]
+    assert point == (5, 10**6, 4.5)
+    assert err.startswith("ValueError: range of ") and "exceeds the sieve budget" in err
+    assert f"sweep point {point} failed: {err}" in capsys.readouterr().err
     with open(res.csv_path, newline="") as f:
         assert len(list(csv.DictReader(f))) == 1
+
+
+def test_serial_sweep_flushes_each_row_before_the_next_point(tmp_path, monkeypatch):
+    original = tauvar.sweep._run_point
+    rows_before = []
+
+    def run_point(*args):
+        with open(tmp_path / "summary.csv", newline="") as f:
+            rows_before.append(len(list(csv.DictReader(f))))
+        return original(*args)
+
+    monkeypatch.setattr(tauvar.sweep, "_run_point", run_point)
+    monkeypatch.setattr(tauvar.sweep, "ProcessPoolExecutor", None)  # no process may start
+    cfg = SweepConfig(
+        k_list=(3,), d_list=(4, 5, 7, 8, 9, 11), c_list=(2.5,), prime_bound=10**4, workers=1
+    )
+    assert run_sweep(cfg, out_dir=tmp_path).ok
+    assert rows_before == [0, 1, 2, 3, 4, 5]
 
 
 # one small grid per gamma method; each method's domain needs its own (k, c)
@@ -228,6 +264,11 @@ def test_sweep_evaluates_each_constant_once_per_call(tmp_path, monkeypatch):
     assert calls == {"gamma_k_mc": 4, "a_k_value": 2}
     # nothing is kept between sweeps: the same config evaluates them again
     assert run_sweep(cfg, out_dir=tmp_path / "b").ok
+    assert calls == {"gamma_k_mc": 8, "a_k_value": 4}
+    # the keys come from the points: a sweep without moduli evaluates nothing
+    for workers in (1, 2):
+        empty = SweepConfig(**{**cfg.__dict__, "d_list": (), "workers": workers})
+        assert run_sweep(empty, out_dir=tmp_path / f"empty{workers}").ok
     assert calls == {"gamma_k_mc": 8, "a_k_value": 4}
 
 

@@ -173,6 +173,31 @@ def test_class_sums_reject_nonpositive_workers():
             experiment(2, 101, 1.5, "sharp", workers=workers)
 
 
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((3, 0, 2.5, "smooth"), {}, "modulus must be >= 1"),
+        ((3, 0, -1.0, "smooth"), {}, "modulus must be >= 1"),
+        ((3, 101, -1.0, "smooth"), {}, "X must be finite and >= 1"),
+        ((3, 10, 1000.0, "smooth"), {}, "X must be finite and >= 1, got inf"),
+        ((3, 101, 2.5, "Smooth"), {}, "cutoff must be 'sharp' or 'smooth'"),
+        ((3, 101, 2.5, "smooth"), {"segment_size": 0}, "segment_size must be positive"),
+        ((3, 101, 2.5, "smooth"), {"workers": 0}, "workers must be positive"),
+        ((3, 10**6, 2.9, "smooth"), {}, "exceeds the sieve budget"),
+    ],
+)
+def test_experiment_checks_class_sum_arguments_before_its_constants(
+    monkeypatch, args, kwargs, message
+):
+    def never(*args, **kwargs):
+        raise AssertionError("a constant was evaluated before the argument checks")
+
+    monkeypatch.setattr(variance, "gamma_k_mc", never)
+    monkeypatch.setattr(variance, "a_k_d", never)
+    with pytest.raises(ValueError, match=message):
+        experiment(*args, "mc", mc_samples=4 * 10**6, **kwargs)
+
+
 def bincount_class_sums(k, lo, hi, d, x, cutoff, amplitude):
     """One window's class sums as np.bincount adds them: each unit class in
     ascending n, starting from 0.0."""
