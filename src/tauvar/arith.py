@@ -52,7 +52,8 @@ __all__ = [
 MAX_K = 16
 MAX_N = 2**63 - 1
 
-# Default sieve window: 2^22 entries keeps the working set cache-friendly.
+# The sieve window of every variance point, and the widest any window may be:
+# 2^22 entries keeps the working set cache-friendly and the memory bounded.
 DEFAULT_SEGMENT_SIZE = 1 << 22
 
 # The largest tau_k(n) the sieve returns: a factor 4 under the uint64 wrap.
@@ -179,15 +180,16 @@ def _check_range(k: int, lo: int, hi: int) -> None:
         raise ValueError(f"hi = {hi} exceeds the supported bound 2^63 - 1")
 
 
-def tau_k_segment(
-    k: int,
-    lo: int,
-    hi: int,
-    *,
-    segment_cap: int = DEFAULT_SEGMENT_SIZE,
-    _primes: np.ndarray | None = None,
-) -> TauSegment:
-    """Sieve tau_k(n) for all n in [lo, hi).
+def _check_window(segment_size: int) -> None:
+    """The one rule for a sieve window: 1..DEFAULT_SEGMENT_SIZE entries."""
+    if not 1 <= segment_size <= DEFAULT_SEGMENT_SIZE:
+        raise ValueError(
+            f"segment_size must be positive and <= {DEFAULT_SEGMENT_SIZE}, got {segment_size}"
+        )
+
+
+def tau_k_segment(k: int, lo: int, hi: int, *, _primes: np.ndarray | None = None) -> TauSegment:
+    """Sieve tau_k(n) for all n in [lo, hi), at most DEFAULT_SEGMENT_SIZE entries.
 
     Every n divisible by q = p^j has its factor tau_k(p^(j-1)) = C(k+j-2, k-1)
     divided out and tau_k(p^j) = C(k+j-1, k-1) multiplied in; both steps are
@@ -200,11 +202,12 @@ def tau_k_segment(
     The result is independent of how a larger range is cut into segments.
     Windows whose values could reach 2^62 check the cells before each
     multiply and raise OverflowError rather than return a wrapped value.
+    The cap on the width is fixed; tau_k_segments() streams wider ranges.
     """
     _check_range(k, lo, hi)
-    if hi - lo > segment_cap:
+    if hi - lo > DEFAULT_SEGMENT_SIZE:
         raise ValueError(
-            f"segment of {hi - lo} entries exceeds the cap {segment_cap}; "
+            f"segment of {hi - lo} entries exceeds the cap {DEFAULT_SEGMENT_SIZE}; "
             f"use tau_k_segments() to stream larger ranges"
         )
     # prime powers past 2^63 meet lo in Python ints; a numpy k would turn
@@ -308,14 +311,12 @@ def tau_k_segment(
 def tau_k_segments(
     k: int, lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE
 ) -> Iterator[TauSegment]:
-    """Stream tau_k over [lo, hi) in ascending windows of segment_size."""
+    """Stream tau_k over [lo, hi) in ascending windows of segment_size <= 2^22."""
     _check_range(k, lo, hi)
-    if segment_size < 1:
-        raise ValueError("segment_size must be positive")
+    _check_window(segment_size)
     ps = primes_upto(isqrt(hi - 1))
     for s_lo in range(lo, hi, segment_size):
-        s_hi = min(s_lo + segment_size, hi)
-        yield tau_k_segment(k, s_lo, s_hi, segment_cap=segment_size, _primes=ps)
+        yield tau_k_segment(k, s_lo, min(s_lo + segment_size, hi), _primes=ps)
 
 
 def euler_phi(n: int) -> int:

@@ -15,7 +15,7 @@ from itertools import chain
 from typing import List, Optional
 
 from ._version import __version__
-from .arith import DEFAULT_SEGMENT_SIZE, tau_k_of, tau_k_segments
+from .arith import tau_k_of, tau_k_segments
 from .constants import a_k_d, a_k_value, g_k
 from .plotting import emit_plot
 from .sweep import load_config, record_line, run_sweep
@@ -67,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_var.add_argument("--seed", type=int, default=1)
     p_var.add_argument("--prime-bound", type=int, default=10**6)
     p_var.add_argument("--workers", type=int, default=1)
-    p_var.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE)
     p_var.add_argument("--out", type=str, default=None, help="append the JSON record to a file")
 
     p_sweep = sub.add_parser("sweep", help="run a (k, d, c) grid from a config file")
@@ -148,7 +147,6 @@ def _cmd_variance(args) -> int:
         prime_bound=args.prime_bound,
         mc_samples=args.samples,
         mc_seed=args.seed,
-        segment_size=args.segment_size,
         workers=args.workers,
     )
     print(json.dumps(report.to_dict(), sort_keys=True))

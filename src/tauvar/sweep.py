@@ -28,7 +28,6 @@ Configuration files are flat "key = value" text (diff-friendly provenance):
     samples = 1000000        # Monte-Carlo sample count (gamma_method = mc)
     seed = 1                 # Monte-Carlo seed
     workers = 1              # worker processes
-    segment_size = 4194304   # sieve segment length (the default, 2^22)
     out = runs/sweep1        # output directory
 """
 
@@ -44,9 +43,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .arith import DEFAULT_SEGMENT_SIZE, primes_upto
+from .arith import primes_upto
 from .constants import ConstantValue, _drop_local_factors, a_k_value, check_gamma_domain, check_prime_bound
-from .variance import VarianceReport, _report, gamma_eval
+from .variance import VarianceReport, _check_point, _point_x, _report, gamma_eval
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -75,10 +74,6 @@ CSV_COLUMNS = (
     "runtime_s",
 )
 
-_INT_KEYS = ("prime_bound", "samples", "seed", "workers", "segment_size")
-_TEXT_KEYS = ("cutoff", "gamma_method", "out")
-_KNOWN_KEYS = {"k", "d", "c", *_INT_KEYS, *_TEXT_KEYS}
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -94,18 +89,11 @@ class SweepConfig:
     seed: int = 1
     workers: int = 1
     out: Optional[str] = None
-    segment_size: int = DEFAULT_SEGMENT_SIZE
 
     def __post_init__(self) -> None:
-        if self.cutoff not in ("sharp", "smooth"):
-            raise ValueError(f"cutoff must be sharp or smooth, got {self.cutoff!r}")
+        _check_point(min(self.d_list, default=1), self.cutoff, self.workers)
         if self.gamma_method not in ("simple", "piecewise", "mc"):
             raise ValueError(f"unknown gamma method {self.gamma_method!r}")
-        for key in ("segment_size", "workers"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if min(self.d_list, default=1) < 1:
-            raise ValueError(f"modulus must be >= 1, got {min(self.d_list)}")
         check_prime_bound(self.prime_bound)
         for k in self.k_list:
             for c in self.c_list:
@@ -127,12 +115,28 @@ def _parse_d_spec(spec: str) -> Tuple[int, ...]:
             raise ValueError(f"bad prime range {spec!r}")
         ps = primes_upto(hi)
         return tuple(int(p) for p in ps[ps >= lo])
-    return tuple(int(tok) for tok in spec.split(",") if tok.strip())
+    return _list_of(int)(spec)
+
+
+def _list_of(kind: Callable[[str], object]) -> Callable[[str], tuple]:
+    """A parser of comma-separated values of one kind; empty tokens are skipped."""
+    return lambda value: tuple(kind(tok) for tok in value.split(",") if tok.strip())
+
+
+# config key -> (SweepConfig field, parser of its value)
+_KEYS: Dict[str, Tuple[str, Callable[[str], object]]] = {
+    "k": ("k_list", _list_of(int)),
+    "d": ("d_list", _parse_d_spec),
+    "c": ("c_list", _list_of(float)),
+    **{key: (key, int) for key in ("prime_bound", "samples", "seed", "workers")},
+    **{key: (key, str) for key in ("cutoff", "gamma_method", "out")},
+}
 
 
 def parse_config(text: str) -> SweepConfig:
-    """Parse the flat key = value format; unknown and repeated keys are rejected."""
-    raw: Dict[str, str] = {}
+    """Parse the flat key = value format; unknown and repeated keys, and
+    values that do not parse, are rejected with their line number."""
+    kwargs: Dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -141,27 +145,18 @@ def parse_config(text: str) -> SweepConfig:
         if not sep:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {line!r}")
         key = key.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key in raw:
+        field_name, parse = _KEYS[key]
+        if field_name in kwargs:
             raise ValueError(f"config line {lineno}: repeated key {key!r}")
-        raw[key] = value.strip()
-    kwargs: Dict[str, object] = {}
-    if "k" in raw:
-        kwargs["k_list"] = tuple(int(t) for t in raw["k"].split(",") if t.strip())
-    if "d" in raw:
-        kwargs["d_list"] = _parse_d_spec(raw["d"])
-    if "c" in raw:
-        kwargs["c_list"] = tuple(float(t) for t in raw["c"].split(",") if t.strip())
-    for key in _INT_KEYS:
-        if key in raw:
-            kwargs[key] = int(raw[key])
-    for key in _TEXT_KEYS:
-        if key in raw:
-            kwargs[key] = raw[key]
-    for key_name, field_name in (("k", "k_list"), ("d", "d_list"), ("c", "c_list")):
-        if field_name not in kwargs:
-            raise ValueError(f"config is missing the {key_name!r} key")
+        try:
+            kwargs[field_name] = parse(value.strip())
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: bad value for {key!r}: {exc}") from None
+    for key in ("k", "d", "c"):
+        if _KEYS[key][0] not in kwargs:
+            raise ValueError(f"config is missing the {key!r} key")
     return SweepConfig(**kwargs)  # type: ignore[arg-type]
 
 
@@ -212,10 +207,9 @@ def _run_point(
 ) -> VarianceReport:
     start = time.perf_counter()
     k, d, c = point
+    x = _point_x(d, c, config.cutoff, 1)  # before factorize(d), as experiment() checks
     akd = _drop_local_factors(ak, k, d)
-    return _report(
-        k, d, c, config.cutoff, config.gamma_method, akd, gamma, config.segment_size, 1, start
-    )
+    return _report(k, d, c, x, config.cutoff, config.gamma_method, akd, gamma, 1, start)
 
 
 def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> SweepResult:

@@ -37,7 +37,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ._version import __version__
-from .arith import DEFAULT_SEGMENT_SIZE, divisors, primes_upto, tau_k_segment, units
+from .arith import DEFAULT_SEGMENT_SIZE, _check_window, divisors, primes_upto, tau_k_segment, units
 from .characters import CharacterGroup
 from .constants import (
     ConstantValue,
@@ -89,19 +89,10 @@ class ClassSums:
         return math.fsum(self.sums.tolist())
 
 
-def _sum_range(x: float, cutoff: str) -> Tuple[int, int]:
-    """Half-open integer range [lo, hi) contributing to the cutoff omega."""
-    if cutoff == "sharp":
-        return 1, int(math.floor(x)) + 1
-    if cutoff == "smooth":
-        return int(math.floor(x)) + 1, int(math.floor(2.0 * x)) + 1
-    raise ValueError(f"cutoff must be 'sharp' or 'smooth', got {cutoff!r}")
-
-
 def _segment_task(args) -> np.ndarray:
     """Sums of one sieve segment over every residue class mod d, units or not;
     top-level so worker pools can pickle it."""
-    (k, lo, hi, d, x, cutoff, amplitude, segment_size, primes) = args
+    (k, lo, hi, d, x, cutoff, amplitude, primes) = args
     # The window, row by row in a zero-padded (rows, d) grid: column j holds
     # the n = j mod d in ascending order.  The sieve keeps tau below 2^62, so
     # its int64 view casts to float64 exactly, and faster than uint64 does;
@@ -110,7 +101,7 @@ def _segment_task(args) -> np.ndarray:
     rows = -(-(start + hi - lo) // d)
     grid = np.zeros(rows * d)
     window = grid[start : start + hi - lo]
-    tau = tau_k_segment(k, lo, hi, segment_cap=segment_size, _primes=primes).values
+    tau = tau_k_segment(k, lo, hi, _primes=primes).values
     window[:] = tau.view(np.int64)
     del tau
     if cutoff == "smooth":
@@ -124,20 +115,25 @@ def _segment_task(args) -> np.ndarray:
     return grid.reshape(rows, d).sum(axis=0) if d > 1 else np.cumsum(grid)[-1:]
 
 
-def _class_sum_range(
-    d: int, x: float, cutoff: str, segment_size: int, workers: int
-) -> Tuple[int, int]:
-    """Check compute_class_sums' arguments, before any work, and return the
-    range [lo, hi) it sieves; experiment() checks them before its constants."""
+def _check_point(d: int, cutoff: str, workers: int) -> None:
+    """The modulus, cutoff and worker-count rules, one message each, for
+    class sums, experiment() and sweep configs alike."""
     if d < 1:
         raise ValueError(f"modulus must be >= 1, got {d}")
-    if not (math.isfinite(x) and x >= 1.0):
-        raise ValueError(f"X must be finite and >= 1, got {x}")
-    if segment_size < 1:
-        raise ValueError(f"segment_size must be positive, got {segment_size}")
+    if cutoff not in ("sharp", "smooth"):
+        raise ValueError(f"cutoff must be 'sharp' or 'smooth', got {cutoff!r}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    lo, hi = _sum_range(x, cutoff)
+
+
+def _class_sum_range(d: int, x: float, cutoff: str, workers: int) -> Tuple[int, int]:
+    """Check compute_class_sums' arguments, before any work, and return the
+    half-open range [lo, hi) of n that the cutoff weighs."""
+    _check_point(d, cutoff, workers)
+    if not (math.isfinite(x) and x >= 1.0):
+        raise ValueError(f"X must be finite and >= 1, got {x}")
+    f = int(math.floor(x))
+    lo, hi = (1, f + 1) if cutoff == "sharp" else (f + 1, int(math.floor(2.0 * x)) + 1)
     if hi - lo > SIEVE_BUDGET:
         est = (hi - lo) / _SIEVE_RATE
         raise ValueError(
@@ -145,6 +141,18 @@ def _class_sum_range(
             f"(estimated {est:.0f} s of sieving); reduce X or raise SIEVE_BUDGET"
         )
     return lo, hi
+
+
+def _point_x(d: int, c: float, cutoff: str, workers: int) -> float:
+    """X = d^c, its class-sum arguments checked: experiment() and each sweep
+    point call it before any work.  An X beyond the float range, or 0^c with
+    c < 0, is inf, which the check rejects."""
+    try:
+        x = float(d) ** c
+    except (OverflowError, ZeroDivisionError):
+        x = math.inf
+    _class_sum_range(d, x, cutoff, workers)
+    return x
 
 
 def compute_class_sums(
@@ -161,18 +169,19 @@ def compute_class_sums(
     The smooth cutoff weighs n by w(n/X), w the fixed L2-normalized bump of
     make_bump_weight(); the sharp cutoff by [n <= X].
 
-    Segments may be sieved concurrently (workers > 1); partial class vectors
-    are merged in ascending segment order with Kahan compensation, so the
-    result is bit-identical for any worker count.
+    Windows of segment_size <= 2^22 entries may be sieved concurrently
+    (workers > 1); partial class vectors are merged in ascending order with
+    Kahan compensation, so the result is bit-identical for any worker count.
     """
-    lo, hi = _class_sum_range(d, x, cutoff, segment_size, workers)
+    _check_window(segment_size)
+    lo, hi = _class_sum_range(d, x, cutoff, workers)
     amplitude = weight_id = None
     if cutoff == "smooth":
         weight = make_bump_weight()
         amplitude, weight_id = weight.amplitude, weight.weight_id
     primes = primes_upto(math.isqrt(hi - 1))
     tasks = [
-        (k, s_lo, min(s_lo + segment_size, hi), d, x, cutoff, amplitude, segment_size, primes)
+        (k, s_lo, min(s_lo + segment_size, hi), d, x, cutoff, amplitude, primes)
         for s_lo in range(lo, hi, segment_size)
     ]
     acc = np.zeros(d, dtype=np.float64)
@@ -329,7 +338,8 @@ class VarianceReport:
     wall_time_s is the point's own time.  From experiment() it covers the
     whole call, constants included.  In a sweep, whose constants are
     evaluated once per distinct key and shared by the points (see sweep.py),
-    it leaves those shared constants out.
+    it leaves those shared constants out.  segment_size records the sieve
+    window, which every point takes from arith.DEFAULT_SEGMENT_SIZE.
     """
 
     k: int
@@ -349,7 +359,7 @@ class VarianceReport:
     gamma_error: float
     gamma_params: Dict[str, object]
     wall_time_s: float
-    segment_size: int
+    segment_size: int = DEFAULT_SEGMENT_SIZE
     code_version: str = __version__
 
     def to_dict(self) -> Dict[str, object]:
@@ -366,7 +376,6 @@ def experiment(
     prime_bound: int = 10**6,
     mc_samples: int = 10**6,
     mc_seed: int = 1,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
 ) -> VarianceReport:
     """Measure the variance at X = d^c and compare with the conjectural term.
@@ -375,34 +384,27 @@ def experiment(
     except wall_time_s, for any worker count.
     """
     start = time.perf_counter()
-    try:
-        x = float(d) ** c
-    except (OverflowError, ZeroDivisionError):  # beyond float range, or 0 ** (c < 0)
-        x = math.inf
-    _class_sum_range(d, x, cutoff, segment_size, workers)
+    x = _point_x(d, c, cutoff, workers)
     gamma = gamma_eval(k, c, gamma_method, mc_samples=mc_samples, mc_seed=mc_seed)
     akd = a_k_d(k, d, prime_bound)
-    return _report(k, d, c, cutoff, gamma_method, akd, gamma, segment_size, workers, start)
+    return _report(k, d, c, x, cutoff, gamma_method, akd, gamma, workers, start)
 
 
 def _report(
     k: int,
     d: int,
     c: float,
+    x: float,
     cutoff: str,
     gamma_method: str,
     akd: ConstantValue,
     gamma: ConstantValue,
-    segment_size: int,
     workers: int,
     start: float,
 ) -> VarianceReport:
-    """One point's report from its evaluated constants: the one builder behind
-    experiment() and every sweep point.  wall_time_s runs from `start`."""
-    x = float(d) ** c
-    cs = compute_class_sums(
-        k, d, x, cutoff, segment_size=segment_size, workers=workers
-    )
+    """One point's report at X from its evaluated constants: the one builder
+    behind experiment() and every sweep point.  wall_time_s runs from `start`."""
+    cs = compute_class_sums(k, d, x, cutoff, workers=workers)
     var = variance_direct(k, d, x, cutoff, class_sums=cs)
     mt = _leading_term(k, d, x, akd, gamma)
     ratio = var / mt if mt > 0 else None
@@ -424,5 +426,4 @@ def _report(
         gamma_error=gamma.error_estimate,
         gamma_params=dict(gamma.params),
         wall_time_s=time.perf_counter() - start,
-        segment_size=segment_size,
     )

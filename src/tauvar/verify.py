@@ -323,7 +323,7 @@ def _suite_tau_sieve() -> SuiteReport:
     rep = SuiteReport("tau-sieve")
     # sieve agrees with the binomial formula pointwise on all of [1, 1e5]:
     # factor each n once, then form every tau_k from the same exponents
-    segs = {k: tau_k_segment(k, 1, 10**5 + 1, segment_cap=10**5) for k in (2, 3, 4)}
+    segs = {k: tau_k_segment(k, 1, 10**5 + 1) for k in (2, 3, 4)}
     ok = True
     for n in range(1, 10**5 + 1):
         exps = [e for _, e in factorize(n).factors]
@@ -350,10 +350,7 @@ def _suite_tau_sieve() -> SuiteReport:
     rep.add_flag("multiplicativity", ok)
     # tau_k = tau_{k-1} * 1 under Dirichlet convolution, all n <= 1e4
     nmax = 10**4
-    tau_rows = {
-        k: tau_k_segment(k, 1, nmax + 1, segment_cap=nmax).values.astype(object)
-        for k in (1, 2, 3, 4, 5)
-    }
+    tau_rows = {k: tau_k_segment(k, 1, nmax + 1).values.astype(object) for k in (1, 2, 3, 4, 5)}
     ok = True
     for k in (2, 3, 4, 5):
         conv = np.zeros(nmax + 1, dtype=object)
@@ -366,7 +363,7 @@ def _suite_tau_sieve() -> SuiteReport:
     ok = ok and dirichlet_convolve(lambda a: tau_k_of(2, a), lambda b: 1, 12) == tau_k_of(3, 12)
     rep.add_flag("convolution-recursion", ok)
     # segmentation independence
-    whole = tau_k_segment(3, 1, 10**5 + 1, segment_cap=10**5)
+    whole = tau_k_segment(3, 1, 10**5 + 1)
     for size in (999, 4096, 10**5):
         parts = [seg.values for seg in tau_k_segments(3, 1, 10**5 + 1, size)]
         if not np.array_equal(np.concatenate(parts), whole.values):

@@ -1,5 +1,6 @@
 """Exact arithmetic core: factorization, tau_k, sieve, phi/mu/phi_star."""
 
+import inspect
 import math
 import re
 import tracemalloc
@@ -95,7 +96,7 @@ def test_tau_segment_examples():
 def test_tau_segment_matches_formula():
     rng = np.random.default_rng(11)
     for k in (2, 3, 4):
-        seg = tau_k_segment(k, 1, 20_001, segment_cap=20_000)
+        seg = tau_k_segment(k, 1, 20_001)
         for n in rng.integers(1, 20_001, size=200):
             assert int(seg.values[int(n) - 1]) == tau_k_of(k, int(n))
         assert int(seg.values.min()) >= 1
@@ -103,7 +104,7 @@ def test_tau_segment_matches_formula():
 
 def test_tau_segment_far_window():
     lo = 10**12
-    seg = tau_k_segment(3, lo, lo + 64, segment_cap=64)
+    seg = tau_k_segment(3, lo, lo + 64)
     for i in range(64):
         assert int(seg.values[i]) == tau_k_of(3, lo + i)
     # numpy bounds around a multiple of p^2, p = 5000011, where p^3 > 2^63
@@ -113,7 +114,7 @@ def test_tau_segment_far_window():
 
 
 def test_segmentation_independence():
-    whole = tau_k_segment(3, 1, 10_001, segment_cap=10_000).values
+    whole = tau_k_segment(3, 1, 10_001).values
     for size in (73, 512, 9_999):
         parts = [s.values for s in tau_k_segments(3, 1, 10_001, size)]
         assert np.array_equal(np.concatenate(parts), whole)
@@ -124,6 +125,17 @@ def test_tau_segment_rejects_oversize_before_allocating():
         tau_k_segment(2, 1, 2 + DEFAULT_SEGMENT_SIZE)
     with pytest.raises(ValueError):
         tau_k_segment(2, 10, 10)
+
+
+def test_window_cap_is_fixed():
+    # tau_k_segment has no cap to raise; tau_k_segments takes windows of
+    # 1..2^22 entries only, checked before any prime is sieved
+    assert "segment_cap" not in inspect.signature(tau_k_segment).parameters
+    with mock.patch.object(arith, "primes_upto", side_effect=AssertionError("sieved primes")):
+        for size in (0, -1, DEFAULT_SEGMENT_SIZE + 1, 2 * DEFAULT_SEGMENT_SIZE):
+            with pytest.raises(ValueError, match="segment_size must be positive"):
+                next(tau_k_segments(2, 1, 100, size))
+    assert [s.hi - s.lo for s in tau_k_segments(2, 1, 11, DEFAULT_SEGMENT_SIZE)] == [10]
 
 
 def test_tau_segments_check_the_range_before_building_primes():
@@ -148,7 +160,7 @@ def test_tau_segment_overflow_guard():
     assert n <= MAX_N
     assert tau_k_of(16, n) > 2**62  # exact big-int path keeps working
     with pytest.raises(OverflowError):
-        tau_k_segment(16, n, n + 1, segment_cap=16)
+        tau_k_segment(16, n, n + 1)
     # the band between 2^61 and 2^63: one value just under 2^62 is returned
     # exactly, one just over it raises
     for k, factors, want in (
@@ -172,7 +184,7 @@ def test_guarded_window_checks_cells_in_place():
     n = 2**20
     tracemalloc.start()
     try:
-        values = tau_k_segment(16, n, 2 * n, segment_cap=n).values
+        values = tau_k_segment(16, n, 2 * n).values
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -182,7 +194,7 @@ def test_guarded_window_checks_cells_in_place():
 
 
 def _assert_sieve_matches_formula(k, lo, hi):
-    seg = tau_k_segment(k, lo, hi, segment_cap=hi - lo)
+    seg = tau_k_segment(k, lo, hi)
     assert seg.values.dtype == np.uint64
     assert [int(v) for v in seg.values] == [tau_k_of(k, n) for n in range(lo, hi)]
 

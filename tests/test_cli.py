@@ -120,12 +120,11 @@ def test_variance_subcommand(capsys, tmp_path):
     assert stored.keys() == swept.keys()
     assert stored["report"].keys() == swept["report"].keys()
 
-    code, _, err = run_cli(
-        capsys, "variance", "--k", "2", "--d", "101", "--c", "1.5", "--cutoff", "sharp",
-        "--segment-size", "-5",
-    )
-    assert code == 2
-    assert "segment_size must be positive" in err
+    # the sieve window is no option
+    with pytest.raises(SystemExit) as exc:
+        main(["variance", "--k", "2", "--d", "101", "--c", "1.5", "--segment-size", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --segment-size 5" in capsys.readouterr().err
 
     for workers in ("0", "-2"):
         code, out, err = run_cli(

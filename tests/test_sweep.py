@@ -8,6 +8,7 @@ import pytest
 
 import tauvar.sweep
 import tauvar.variance
+from tauvar.arith import DEFAULT_SEGMENT_SIZE
 from tauvar.sweep import (
     CSV_COLUMNS,
     SweepConfig,
@@ -97,11 +98,42 @@ def test_config_validates_gamma_domain():
 
 
 def test_config_rejects_nonpositive_segment_size_and_workers():
-    for key in ("segment_size", "workers"):
-        for value in (0, -1):
-            with pytest.raises(ValueError, match=f"{key} must be >= 1"):
-                parse_config(f"k = 2\nd = 4\nc = 1.5\n{key} = {value}\n")
-    assert parse_config("k = 2\nd = 4\nc = 1.5\nsegment_size = 1\nworkers = 1\n")
+    # the sieve window is no config key, whatever its value
+    assert "segment_size" not in SweepConfig.__dataclass_fields__
+    for value in (0, -1, 1, DEFAULT_SEGMENT_SIZE):
+        with pytest.raises(ValueError, match="config line 4: unknown key 'segment_size'"):
+            parse_config(f"k = 2\nd = 4\nc = 1.5\nsegment_size = {value}\n")
+    for value in (0, -1):
+        with pytest.raises(ValueError, match="workers must be positive"):
+            parse_config(f"k = 2\nd = 4\nc = 1.5\nworkers = {value}\n")
+    assert parse_config("k = 2\nd = 4\nc = 1.5\nworkers = 1\n")
+
+
+@pytest.mark.parametrize("field, value", [("cutoff", "Sharp"), ("workers", 0), ("d_list", (5, -3))])
+def test_config_checks_a_point_as_experiment_does(field, value):
+    config = dict(k_list=(2,), d_list=(5,), c_list=(1.5,), cutoff="sharp", workers=1)
+    config[field] = value
+    with pytest.raises(ValueError) as swept:
+        SweepConfig(**config)
+    with pytest.raises(ValueError) as direct:
+        experiment(2, min(config["d_list"]), 1.5, config["cutoff"], workers=config["workers"])
+    assert str(swept.value) == str(direct.value)
+
+
+def test_parse_config_bad_values_name_their_key_and_line():
+    cases = [
+        ("k = 2\nd = 4\nc = 1.5\nsamples = 1e6\n",
+         "config line 4: bad value for 'samples': invalid literal for int() with base 10: '1e6'"),
+        ("k = 2.5\nd = 4\nc = 1.5\n",
+         "config line 1: bad value for 'k': invalid literal for int() with base 10: '2.5'"),
+        ("k = 2\nd = 4\nc = 1.5x\n",
+         "config line 3: bad value for 'c': could not convert string to float: '1.5x'"),
+        ("k = 2\n# moduli\nd = 4,five\nc = 1.5\n",
+         "config line 3: bad value for 'd': invalid literal for int() with base 10: 'five'"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_config(text)
 
 
 def test_config_rejects_moduli_below_1():
@@ -193,6 +225,22 @@ def test_sweep_isolates_point_failures(tmp_path, capsys, workers):
         assert len(list(csv.DictReader(f))) == 1
 
 
+def test_sweep_point_checks_its_range_before_factoring_d(tmp_path, monkeypatch):
+    # X = d^1.5 is far over the sieve budget; factoring d, a product of two
+    # primes near 10^9, by trial division would take minutes
+    d = 1000000007 * 1000000009
+
+    def never(*args):
+        raise AssertionError("d was factored before the range check")
+
+    monkeypatch.setattr(tauvar.sweep, "_drop_local_factors", never)
+    cfg = SweepConfig(k_list=(2,), d_list=(d,), c_list=(1.5,), cutoff="sharp", prime_bound=10**4)
+    res = run_sweep(cfg, out_dir=tmp_path)
+    with pytest.raises(ValueError, match="exceeds the sieve budget") as direct:
+        experiment(2, d, 1.5, "sharp", prime_bound=10**4)
+    assert res.failures == [((2, d, 1.5), f"ValueError: {direct.value}")]
+
+
 def test_serial_sweep_flushes_each_row_before_the_next_point(tmp_path, monkeypatch):
     original = tauvar.sweep._run_point
     rows_before = []
@@ -236,6 +284,7 @@ def test_sweep_records_equal_experiment(tmp_path, method, workers):
         got = rec.to_dict()
         del want["wall_time_s"], got["wall_time_s"]
         assert got == want
+        assert got["segment_size"] == DEFAULT_SEGMENT_SIZE
 
 
 # 2 k x 3 d x 2 c points: 4 distinct gamma keys, 2 distinct a_k keys

@@ -1,5 +1,6 @@
 """Variance engine: hand oracles, brute-force agreement, three-way identity."""
 
+import inspect
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tauvar import variance
-from tauvar.arith import euler_phi, tau_k_of, tau_k_segment, units
+from tauvar.arith import DEFAULT_SEGMENT_SIZE, euler_phi, tau_k_of, tau_k_segment, units
 from tauvar.constants import a_k_d, gamma_k_simple
 from tauvar.variance import (
     SIEVE_BUDGET,
@@ -153,8 +154,23 @@ def test_class_sums_reject_nonpositive_segment_size():
     for size in (0, -1):
         with pytest.raises(ValueError, match="segment_size must be positive"):
             compute_class_sums(2, 101, 1000.0, "sharp", segment_size=size)
-        with pytest.raises(ValueError, match="segment_size must be positive"):
-            experiment(2, 101, 1.5, "sharp", segment_size=size)
+
+
+def test_class_sums_reject_windows_above_the_cap():
+    for size in (DEFAULT_SEGMENT_SIZE + 1, 2 * DEFAULT_SEGMENT_SIZE):
+        with pytest.raises(ValueError, match="segment_size must be positive and <= 4194304"):
+            compute_class_sums(2, 101, 1000.0, "sharp", segment_size=size)
+    whole = compute_class_sums(2, 101, 1000.0, "sharp", segment_size=DEFAULT_SEGMENT_SIZE)
+    assert np.array_equal(whole.sums, compute_class_sums(2, 101, 1000.0, "sharp").sums)
+
+
+def test_experiment_takes_no_window_and_reports_the_fixed_one():
+    assert "segment_size" not in inspect.signature(experiment).parameters
+    with pytest.raises(TypeError, match="segment_size"):
+        experiment(2, 101, 1.5, "sharp", segment_size=1024)
+    for workers in (1, 2):
+        rep = experiment(2, 101, 1.5, "sharp", workers=workers)
+        assert rep.segment_size == rep.to_dict()["segment_size"] == DEFAULT_SEGMENT_SIZE
 
 
 def test_class_sums_reject_bad_x():
@@ -181,7 +197,6 @@ def test_class_sums_reject_nonpositive_workers():
         ((3, 101, -1.0, "smooth"), {}, "X must be finite and >= 1"),
         ((3, 10, 1000.0, "smooth"), {}, "X must be finite and >= 1, got inf"),
         ((3, 101, 2.5, "Smooth"), {}, "cutoff must be 'sharp' or 'smooth'"),
-        ((3, 101, 2.5, "smooth"), {"segment_size": 0}, "segment_size must be positive"),
         ((3, 101, 2.5, "smooth"), {"workers": 0}, "workers must be positive"),
         ((3, 10**6, 2.9, "smooth"), {}, "exceeds the sieve budget"),
     ],
@@ -201,7 +216,7 @@ def test_experiment_checks_class_sum_arguments_before_its_constants(
 def bincount_class_sums(k, lo, hi, d, x, cutoff, amplitude):
     """One window's class sums as np.bincount adds them: each unit class in
     ascending n, starting from 0.0."""
-    vals = tau_k_segment(k, lo, hi, segment_cap=hi - lo).values
+    vals = tau_k_segment(k, lo, hi).values
     n = np.arange(lo, hi, dtype=np.int64)
     if cutoff == "smooth":
         vals = vals * SmoothWeight(amplitude=amplitude).values(n / x)
@@ -229,7 +244,7 @@ def test_segment_class_sums_match_bincount_bit_for_bit(k, lo, width, d, cutoff, 
     # smooth: x near lo puts n / x across the bump's support on most windows
     x = max(1.0, lo * x_frac)
     amplitude = make_bump_weight().amplitude
-    task = (k, lo, lo + width, d, x, cutoff, amplitude, width, None)
+    task = (k, lo, lo + width, d, x, cutoff, amplitude, None)
     part = _segment_task(task)[units(d)]
     assert np.array_equal(part, bincount_class_sums(k, lo, lo + width, d, x, cutoff, amplitude))
 
@@ -255,7 +270,7 @@ def test_segment_weight_on_windows_wider_than_the_wheel(k, lo, width, d, place, 
     else:
         x = (lo + frac * width) / 2
     amplitude = make_bump_weight().amplitude
-    task = (k, lo, hi, d, x, "smooth", amplitude, width, None)
+    task = (k, lo, hi, d, x, "smooth", amplitude, None)
     part = _segment_task(task)[units(d)]
     assert np.array_equal(part, bincount_class_sums(k, lo, hi, d, x, "smooth", amplitude))
 
