@@ -311,12 +311,15 @@ def tau_k_segment(k: int, lo: int, hi: int, *, _primes: np.ndarray | None = None
 def tau_k_segments(
     k: int, lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE
 ) -> Iterator[TauSegment]:
-    """Stream tau_k over [lo, hi) in ascending windows of segment_size <= 2^22."""
+    """Stream tau_k over [lo, hi) in ascending windows of segment_size <= 2^22;
+    the arguments are checked at the call, each window is sieved as it is read."""
     _check_range(k, lo, hi)
     _check_window(segment_size)
     ps = primes_upto(isqrt(hi - 1))
-    for s_lo in range(lo, hi, segment_size):
-        yield tau_k_segment(k, s_lo, min(s_lo + segment_size, hi), _primes=ps)
+    return (
+        tau_k_segment(k, s_lo, min(s_lo + segment_size, hi), _primes=ps)
+        for s_lo in range(lo, hi, segment_size)
+    )
 
 
 def euler_phi(n: int) -> int:

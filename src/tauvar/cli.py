@@ -11,15 +11,14 @@ import json
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
-from itertools import chain
 from typing import List, Optional
 
 from ._version import __version__
 from .arith import tau_k_of, tau_k_segments
-from .constants import a_k_d, a_k_value, g_k
+from .constants import GAMMA_METHODS, a_k_d, a_k_value, g_k, gamma_eval
 from .plotting import emit_plot
 from .sweep import load_config, record_line, run_sweep
-from .variance import experiment, gamma_eval
+from .variance import CUTOFFS, experiment
 from .verify import SUITE_NAMES, run_verify
 
 __all__ = ["main", "build_parser"]
@@ -49,9 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gamma = sub.add_parser("gamma", help="gamma_k(c) by the chosen method")
     p_gamma.add_argument("--k", type=int, required=True)
     p_gamma.add_argument("--c", type=float, required=True)
-    p_gamma.add_argument(
-        "--gamma-method", choices=("simple", "piecewise", "mc"), default="simple"
-    )
+    p_gamma.add_argument("--gamma-method", choices=GAMMA_METHODS, default="simple")
     p_gamma.add_argument("--samples", type=int, default=10**6)
     p_gamma.add_argument("--seed", type=int, default=1)
 
@@ -59,10 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_var.add_argument("--k", type=int, required=True)
     p_var.add_argument("--d", type=int, required=True)
     p_var.add_argument("--c", type=float, required=True)
-    p_var.add_argument("--cutoff", choices=("sharp", "smooth"), default="smooth")
-    p_var.add_argument(
-        "--gamma-method", choices=("simple", "piecewise", "mc"), default="simple"
-    )
+    p_var.add_argument("--cutoff", choices=CUTOFFS, default="smooth")
+    p_var.add_argument("--gamma-method", choices=GAMMA_METHODS, default="simple")
     p_var.add_argument("--samples", type=int, default=10**6)
     p_var.add_argument("--seed", type=int, default=1)
     p_var.add_argument("--prime-bound", type=int, default=10**6)
@@ -90,10 +85,10 @@ def _cmd_tau(args) -> int:
     if args.hi is None:
         print(json.dumps({"k": args.k, "n": args.lo, "tau": tau_k_of(args.k, args.lo)}))
         return 0
+    # a bad range raises here, before --out is created
     segments = tau_k_segments(args.k, args.lo, args.hi)
-    first = next(segments)  # a bad range raises here, before --out is created
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
-        for seg in chain([first], segments):
+        for seg in segments:
             # text takes about 110 bytes per entry, so format a window in chunks
             for i in range(0, seg.values.size, _TAU_CHUNK):
                 vals = seg.values[i : i + _TAU_CHUNK].tolist()

@@ -41,8 +41,9 @@ __all__ = [
     "a_k_d",
     "gamma_k_simple",
     "gamma_3_piecewise",
-    "gamma_3_piecewise_exact",
+    "GAMMA_METHODS",
     "check_gamma_domain",
+    "gamma_eval",
     "check_prime_bound",
     "gamma_k_mc",
     "g_k",
@@ -254,14 +255,6 @@ def gamma_3_piecewise(c: float) -> float:
     return GAMMA3_PIECEWISE.eval_float(float(c))
 
 
-def gamma_3_piecewise_exact(c: Fraction) -> Fraction:
-    """gamma_3 at a rational point, exactly."""
-    c = Fraction(c)
-    if not (0 <= c <= 3):
-        raise ValueError(f"c = {c} outside [0, 3]")
-    return GAMMA3_PIECEWISE.eval_exact(c)
-
-
 def _check_simple_domain(k: int, c: float) -> None:
     _check_k(k)
     if not (k - 1 <= c < k):
@@ -277,9 +270,20 @@ def _vandermonde_sq(w: Sequence[np.ndarray]) -> np.ndarray:
     return d * d
 
 
+# The gamma_k evaluators gamma_eval dispatches to, by name.
+GAMMA_METHODS = ("simple", "piecewise", "mc")
+
+
+def _check_gamma_method(method: str) -> None:
+    """The domain rule's first step; sweep configs run it even without points."""
+    if method not in GAMMA_METHODS:
+        raise ValueError(f"unknown gamma method {method!r}; use one of {', '.join(GAMMA_METHODS)}")
+
+
 def check_gamma_domain(k: int, c: float, method: str, samples: int, seed: int) -> None:
     """Raise ValueError unless `method` can evaluate gamma_k(c) with these Monte
     Carlo settings: the one rule for gamma_eval, gamma_k_mc and sweep configs."""
+    _check_gamma_method(method)
     if method == "simple":
         _check_simple_domain(k, c)
     elif method == "piecewise":
@@ -287,7 +291,7 @@ def check_gamma_domain(k: int, c: float, method: str, samples: int, seed: int) -
             raise ValueError("the explicit piecewise table is only available for k = 3")
         if not (0.0 <= c <= 3.0):
             raise ValueError(f"gamma method 'piecewise' needs c in [0, 3], got c = {c}")
-    elif method == "mc":
+    else:
         if not (1 <= k <= _MC_MAX_K):
             raise ValueError(f"k = {k} outside the Monte-Carlo range 1..{_MC_MAX_K}")
         if not (0.0 < c < float(k)):
@@ -298,8 +302,18 @@ def check_gamma_domain(k: int, c: float, method: str, samples: int, seed: int) -
             raise ValueError(f"samples = {samples} below the floor {_MC_MIN_SAMPLES}")
         if seed < 0:
             raise ValueError("seed must be a non-negative integer")
-    else:
-        raise ValueError(f"unknown gamma method {method!r}; use simple, piecewise or mc")
+
+
+def gamma_eval(
+    k: int, c: float, method: str = "simple", *, mc_samples: int = 10**6, mc_seed: int = 1
+) -> ConstantValue:
+    """gamma_k(c) by the requested method, with provenance."""
+    check_gamma_domain(k, c, method, mc_samples, mc_seed)
+    if method == "simple":
+        return ConstantValue(gamma_k_simple(k, c), "closed-form", 0.0, {})
+    if method == "piecewise":
+        return ConstantValue(gamma_3_piecewise(c), "piecewise", 0.0, {})
+    return gamma_k_mc(k, c, mc_samples, mc_seed)
 
 
 def gamma_k_mc(k: int, c: float, samples: int, seed: int) -> ConstantValue:

@@ -44,8 +44,11 @@ from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .arith import primes_upto
-from .constants import ConstantValue, _drop_local_factors, a_k_value, check_gamma_domain, check_prime_bound
-from .variance import VarianceReport, _check_point, _point_x, _report, gamma_eval
+from .constants import (
+    ConstantValue, _check_gamma_method, _drop_local_factors, a_k_value, check_gamma_domain,
+    check_prime_bound, gamma_eval,
+)
+from .variance import VarianceReport, _check_point, _point_x, _report
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -92,8 +95,7 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         _check_point(min(self.d_list, default=1), self.cutoff, self.workers)
-        if self.gamma_method not in ("simple", "piecewise", "mc"):
-            raise ValueError(f"unknown gamma method {self.gamma_method!r}")
+        _check_gamma_method(self.gamma_method)
         check_prime_bound(self.prime_bound)
         for k in self.k_list:
             for c in self.c_list:

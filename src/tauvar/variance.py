@@ -16,11 +16,12 @@ mod each q | d and keeps the entries of conductor q.  All three are exact
 algebra over the same class sums, so agreement to near machine precision is
 a strong check of the character machinery.
 
-The smooth cutoff is always the fixed bump normalized to int w^2 = 1
-(`make_bump_weight`).  Each segment casts its tau values into a zero-padded
-(rows, d) grid, column j holding the n = j mod d, multiplies that weight in
-there (smooth cutoff) and sums the rows in order, so every class adds in
-ascending n.
+The cutoff is decoded once per call into the weight every segment carries:
+the fixed bump normalized to int w^2 = 1 (`make_bump_weight`) for the smooth
+cutoff, and none for the sharp one, whose [n <= X] is the sieved range
+itself.  Each segment casts its tau values into a zero-padded (rows, d)
+grid, column j holding the n = j mod d, multiplies the weight in there, if
+any, and sums the rows in order, so every class adds in ascending n.
 Class sums are merged across segments in ascending order with Kahan
 compensation, which makes every result independent of the worker count.
 """
@@ -39,31 +40,27 @@ import numpy as np
 from ._version import __version__
 from .arith import DEFAULT_SEGMENT_SIZE, _check_window, divisors, primes_upto, tau_k_segment, units
 from .characters import CharacterGroup
-from .constants import (
-    ConstantValue,
-    a_k_d,
-    check_gamma_domain,
-    gamma_3_piecewise,
-    gamma_k_mc,
-    gamma_k_simple,
-)
-from .weights import SmoothWeight, make_bump_weight
+from .constants import ConstantValue, a_k_d, gamma_eval
+from .weights import make_bump_weight
 
 __all__ = [
     "SIEVE_BUDGET",
+    "CUTOFFS",
     "ClassSums",
     "VarianceReport",
     "compute_class_sums",
     "variance_direct",
     "variance_characters",
     "variance_primitive",
-    "gamma_eval",
     "main_term",
     "experiment",
 ]
 
 # Largest number of sieve entries a single variance call may stream.
 SIEVE_BUDGET = 2**31
+
+# The cutoffs the class sums weigh n by: [n <= X], or w(n/X) with the bump w.
+CUTOFFS = ("sharp", "smooth")
 
 # Sieve entries per second, for cost estimates in error messages: the
 # median desk-probe.arith.sieve_mentries_per_s of the four traced runs in
@@ -90,9 +87,10 @@ class ClassSums:
 
 
 def _segment_task(args) -> np.ndarray:
-    """Sums of one sieve segment over every residue class mod d, units or not;
-    top-level so worker pools can pickle it."""
-    (k, lo, hi, d, x, cutoff, amplitude, primes) = args
+    """Sums of one sieve segment over every residue class mod d, units or not,
+    each n weighed by weight(n / x), or by 1 when weight is None; top-level
+    so worker pools can pickle it."""
+    (k, lo, hi, d, x, weight, primes) = args
     # The window, row by row in a zero-padded (rows, d) grid: column j holds
     # the n = j mod d in ascending order.  The sieve keeps tau below 2^62, so
     # its int64 view casts to float64 exactly, and faster than uint64 does;
@@ -104,11 +102,11 @@ def _segment_task(args) -> np.ndarray:
     tau = tau_k_segment(k, lo, hi, _primes=primes).values
     window[:] = tau.view(np.int64)
     del tau
-    if cutoff == "smooth":
+    if weight is not None:
         y = np.arange(lo, hi, dtype=np.float64)  # exact: the budget keeps n < 2^33
         y /= x
         # w(y), evaluated in place in y, times float(tau): bincount's product
-        window *= SmoothWeight(amplitude=amplitude).values(y, out=y)
+        window *= weight.values(y, out=y)
     # Summing the rows one after another adds each class in ascending n, as
     # bincount does; numpy would sum a lone column (d = 1) pairwise instead,
     # so that one takes the running sum.
@@ -120,8 +118,8 @@ def _check_point(d: int, cutoff: str, workers: int) -> None:
     class sums, experiment() and sweep configs alike."""
     if d < 1:
         raise ValueError(f"modulus must be >= 1, got {d}")
-    if cutoff not in ("sharp", "smooth"):
-        raise ValueError(f"cutoff must be 'sharp' or 'smooth', got {cutoff!r}")
+    if cutoff not in CUTOFFS:
+        raise ValueError(f"cutoff must be {' or '.join(map(repr, CUTOFFS))}, got {cutoff!r}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
 
@@ -175,13 +173,10 @@ def compute_class_sums(
     """
     _check_window(segment_size)
     lo, hi = _class_sum_range(d, x, cutoff, workers)
-    amplitude = weight_id = None
-    if cutoff == "smooth":
-        weight = make_bump_weight()
-        amplitude, weight_id = weight.amplitude, weight.weight_id
+    weight = make_bump_weight() if cutoff == "smooth" else None
     primes = primes_upto(math.isqrt(hi - 1))
     tasks = [
-        (k, s_lo, min(s_lo + segment_size, hi), d, x, cutoff, amplitude, primes)
+        (k, s_lo, min(s_lo + segment_size, hi), d, x, weight, primes)
         for s_lo in range(lo, hi, segment_size)
     ]
     acc = np.zeros(d, dtype=np.float64)
@@ -203,7 +198,7 @@ def compute_class_sums(
         cutoff=cutoff,
         units=us,
         sums=acc[us],
-        weight_id=weight_id,
+        weight_id=None if weight is None else weight.weight_id,
     )
 
 
@@ -286,23 +281,6 @@ def variance_primitive(
         power = np.abs(group_q.transform(cs.units % q, dev)) ** 2
         total += float(np.sum(power[group_q.conductors == q]))
     return total / cs.sums.size
-
-
-def gamma_eval(
-    k: int,
-    c: float,
-    method: str = "simple",
-    *,
-    mc_samples: int = 10**6,
-    mc_seed: int = 1,
-) -> ConstantValue:
-    """gamma_k(c) by the requested method, with provenance."""
-    check_gamma_domain(k, c, method, mc_samples, mc_seed)
-    if method == "simple":
-        return ConstantValue(gamma_k_simple(k, c), "closed-form", 0.0, {})
-    if method == "piecewise":
-        return ConstantValue(gamma_3_piecewise(c), "piecewise", 0.0, {})
-    return gamma_k_mc(k, c, mc_samples, mc_seed)
 
 
 def main_term(

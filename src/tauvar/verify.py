@@ -49,7 +49,7 @@ from .constants import (
     local_factor_series,
 )
 from .specfun import barnes_g, gamma_ratio, log_gamma
-from .variance import compute_class_sums, variance_characters, variance_direct, variance_primitive
+from .variance import CUTOFFS, compute_class_sums, variance_characters, variance_direct, variance_primitive
 from .weights import make_bump_weight, mellin_decay_check, mellin_numeric, parseval_check
 
 __all__ = ["CheckResult", "SuiteReport", "SUITE_NAMES", "run_verify"]
@@ -228,7 +228,7 @@ def _suite_variance_equivalence() -> SuiteReport:
     for k in (2, 3):
         for d in (4, 12, 35, 60, 101):
             for x in (1e3, 1e4):
-                for cutoff in ("sharp", "smooth"):
+                for cutoff in CUTOFFS:
                     cs = compute_class_sums(k, d, x, cutoff)
                     v_dir = variance_direct(k, d, x, cutoff, class_sums=cs)
                     v_chr = variance_characters(k, d, x, cutoff, class_sums=cs)

@@ -154,6 +154,14 @@ def test_tau_segments_check_the_range_before_building_primes():
                 list(tau_k_segments(*args, 4))
 
 
+def test_tau_segments_raise_at_the_call():
+    # no window is asked for: the arguments are checked when the stream is made
+    with pytest.raises(ValueError, match="segment_size must be positive"):
+        tau_k_segments(2, 1, 100, 0)
+    with pytest.raises(ValueError, match=re.escape("need 1 <= lo < hi")):
+        tau_k_segments(2, 10, 5)
+
+
 def test_tau_segment_overflow_guard():
     # tau_16 at 2^4 * 3^2 * (5 * 7 * ... * 43) exceeds 2^62; must raise, not wrap
     n = 2**4 * 3**2 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43

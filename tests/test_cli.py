@@ -1,13 +1,16 @@
 """Command-line surface: subcommands, flags, exit codes."""
 
+import argparse
 import json
 
 import pytest
 
 from tauvar import cli
 from tauvar.arith import tau_k_of, tau_k_segments
-from tauvar.cli import main
+from tauvar.cli import build_parser, main
+from tauvar.constants import GAMMA_METHODS
 from tauvar.sweep import SweepConfig, read_records, run_sweep
+from tauvar.variance import CUTOFFS
 from tauvar.verify import SUITE_NAMES
 
 
@@ -65,6 +68,26 @@ def test_tau_range_rejects_empty_and_negative_ranges(capsys):
         assert code == 2
         assert out == ""
         assert "need 1 <= lo < hi" in err
+
+
+def test_tau_range_error_creates_no_out_file(tmp_path, capsys):
+    path = tmp_path / "p"
+    code, out, err = run_cli(capsys, "tau", "--k", "2", "10", "5", "--out", str(path))
+    assert code == 2
+    assert out == "" and "need 1 <= lo < hi" in err
+    assert not path.exists()
+
+
+def test_choice_flags_list_the_library_choices():
+    [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+
+    def choices(command, dest):
+        [action] = [a for a in subparsers.choices[command]._actions if a.dest == dest]
+        return tuple(action.choices)
+
+    assert choices("gamma", "gamma_method") == GAMMA_METHODS
+    assert choices("variance", "gamma_method") == GAMMA_METHODS
+    assert choices("variance", "cutoff") == CUTOFFS
 
 
 def test_constants_json(capsys):

@@ -14,7 +14,6 @@ from tauvar.constants import (
     convolution_compare,
     g_k,
     gamma_3_piecewise,
-    gamma_3_piecewise_exact,
     gamma_integral_check,
     gamma_k_mc,
     gamma_k_simple,
@@ -106,8 +105,8 @@ def test_gamma_k_simple_examples():
 
 def test_gamma_3_piecewise_examples():
     assert gamma_3_piecewise(0.5) == 0.5**8 / factorial(8)
-    assert gamma_3_piecewise_exact(Fraction(1)) == Fraction(1, factorial(8))
-    assert gamma_3_piecewise_exact(Fraction(2)) == Fraction(1, factorial(8))
+    assert GAMMA3_PIECEWISE.eval_exact(Fraction(1)) == Fraction(1, factorial(8))
+    assert GAMMA3_PIECEWISE.eval_exact(Fraction(2)) == Fraction(1, factorial(8))
     with pytest.raises(ValueError):
         gamma_3_piecewise(3.5)
     with pytest.raises(ValueError):
@@ -133,7 +132,7 @@ def test_gamma_3_matches_simple_form_on_last_branch():
     assert GAMMA3_PIECEWISE.branches[2][2] == expanded
     # exact agreement at rational points, float agreement up to rounding
     for c in (Fraction(2), Fraction(9, 4), Fraction(5, 2), Fraction(11, 4)):
-        assert gamma_3_piecewise_exact(c) == (3 - c) ** 8 / factorial(8)
+        assert GAMMA3_PIECEWISE.eval_exact(c) == (3 - c) ** 8 / factorial(8)
     for c in (2.0, 2.25, 2.5, 2.75, 2.999):
         assert gamma_3_piecewise(c) == pytest.approx(gamma_k_simple(3, c), rel=1e-11)
 

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
+import tauvar.constants
 import tauvar.sweep
-import tauvar.variance
 from tauvar.arith import DEFAULT_SEGMENT_SIZE
+from tauvar.constants import check_gamma_domain, gamma_eval
 from tauvar.sweep import (
     CSV_COLUMNS,
     SweepConfig,
@@ -74,6 +75,23 @@ def test_parse_config_rejects_unknown_and_missing_keys():
         parse_config("k = 2\nd = 4\n")
     with pytest.raises(ValueError, match="key = value"):
         parse_config("k 2\n")
+
+
+def test_unknown_gamma_method_has_one_message():
+    # sweep configs, with or without points, the evaluator and the rule
+    # itself share one check, so they reject a method in the same words
+    def message(fn, *args):
+        with pytest.raises(ValueError) as exc:
+            fn(*args)
+        return str(exc.value)
+
+    messages = {
+        message(parse_config, "k = 2\nd = 4\nc = 1.5\ngamma_method = foo\n"),
+        message(parse_config, "k =\nd = 4\nc = 1.5\ngamma_method = foo\n"),
+        message(gamma_eval, 2, 1.5, "foo"),
+        message(check_gamma_domain, 2, 1.5, "foo", 10**6, 1),
+    }
+    assert messages == {"unknown gamma method 'foo'; use one of simple, piecewise, mc"}
 
 
 def test_config_validates_gamma_domain():
@@ -306,7 +324,7 @@ def test_sweep_evaluates_each_constant_once_per_call(tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(tauvar.variance, "gamma_k_mc")  # gamma_eval's reference
+    counted(tauvar.constants, "gamma_k_mc")  # gamma_eval's reference
     counted(tauvar.sweep, "a_k_value")
     cfg = MC_GRID
     assert run_sweep(cfg, out_dir=tmp_path / "a").ok

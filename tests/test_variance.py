@@ -8,21 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tauvar import variance
+from tauvar import constants, variance
 from tauvar.arith import DEFAULT_SEGMENT_SIZE, euler_phi, tau_k_of, tau_k_segment, units
-from tauvar.constants import a_k_d, gamma_k_simple
+from tauvar.constants import a_k_d, gamma_eval, gamma_k_simple
 from tauvar.variance import (
     SIEVE_BUDGET,
     _segment_task,
     compute_class_sums,
     experiment,
-    gamma_eval,
     main_term,
     variance_characters,
     variance_direct,
     variance_primitive,
 )
-from tauvar.weights import SmoothWeight, make_bump_weight
+from tauvar.weights import make_bump_weight
 
 
 def brute_variance(k, d, x, cutoff, perturb_outside_support=0):
@@ -207,19 +206,19 @@ def test_experiment_checks_class_sum_arguments_before_its_constants(
     def never(*args, **kwargs):
         raise AssertionError("a constant was evaluated before the argument checks")
 
-    monkeypatch.setattr(variance, "gamma_k_mc", never)
+    monkeypatch.setattr(constants, "gamma_k_mc", never)  # gamma_eval's reference
     monkeypatch.setattr(variance, "a_k_d", never)
     with pytest.raises(ValueError, match=message):
         experiment(*args, "mc", mc_samples=4 * 10**6, **kwargs)
 
 
-def bincount_class_sums(k, lo, hi, d, x, cutoff, amplitude):
+def bincount_class_sums(k, lo, hi, d, x, weight):
     """One window's class sums as np.bincount adds them: each unit class in
     ascending n, starting from 0.0."""
     vals = tau_k_segment(k, lo, hi).values
     n = np.arange(lo, hi, dtype=np.int64)
-    if cutoff == "smooth":
-        vals = vals * SmoothWeight(amplitude=amplitude).values(n / x)
+    if weight is not None:
+        vals = vals * weight.values(n / x)
     us = units(d)
     unit_index = np.full(d, -1, dtype=np.int64)
     unit_index[us] = np.arange(us.size)
@@ -243,10 +242,10 @@ def bincount_class_sums(k, lo, hi, d, x, cutoff, amplitude):
 def test_segment_class_sums_match_bincount_bit_for_bit(k, lo, width, d, cutoff, x_frac):
     # smooth: x near lo puts n / x across the bump's support on most windows
     x = max(1.0, lo * x_frac)
-    amplitude = make_bump_weight().amplitude
-    task = (k, lo, lo + width, d, x, cutoff, amplitude, None)
+    weight = make_bump_weight() if cutoff == "smooth" else None
+    task = (k, lo, lo + width, d, x, weight, None)
     part = _segment_task(task)[units(d)]
-    assert np.array_equal(part, bincount_class_sums(k, lo, lo + width, d, x, cutoff, amplitude))
+    assert np.array_equal(part, bincount_class_sums(k, lo, lo + width, d, x, weight))
 
 
 @settings(max_examples=20, deadline=None)
@@ -269,10 +268,10 @@ def test_segment_weight_on_windows_wider_than_the_wheel(k, lo, width, d, place, 
         x = lo + frac * width
     else:
         x = (lo + frac * width) / 2
-    amplitude = make_bump_weight().amplitude
-    task = (k, lo, hi, d, x, "smooth", amplitude, None)
+    weight = make_bump_weight()
+    task = (k, lo, hi, d, x, weight, None)
     part = _segment_task(task)[units(d)]
-    assert np.array_equal(part, bincount_class_sums(k, lo, hi, d, x, "smooth", amplitude))
+    assert np.array_equal(part, bincount_class_sums(k, lo, hi, d, x, weight))
 
 
 def test_class_sums_compute_units_once(monkeypatch):
