@@ -10,18 +10,23 @@ tau_k(n) is the number of ordered k-tuples with product n.  On prime powers
 tau_k(p^j) = C(k+j-1, k-1), and tau_k is multiplicative, so every pointwise
 value is a product of binomials over the prime factorization.  The segmented
 sieve computes the same values in bulk with one strided pass per prime power
-p^j: every p^j-th uint64 cell trades its factor tau_k(p^(j-1)) for tau_k(p^j),
-an exact division and multiplication, and adds a rounded, scaled log2 p to a
-uint8 log cell.  The powers 2^4, 3^2, 5 and 7 repeat with period 5040, so
-they are sieved on the first 5040 cells only and copied across the window by
-doubling; the passes go on from 2^5, 3^3, 5^2 and 7^2, and skip every prime
-with no multiple in the window.  A log cell that ends short of log2 n marks
-the one prime factor above sqrt(hi) the passes cannot reach; one multiply by
-the uint8 factor 1 + (k - 1) [short] puts it in.
+p^j.  Each n has an exact uint64 cell and a uint16 cell: the low byte of the
+latter sums a rounded, scaled log2 p per hit, the high byte counts the primes
+above the wheel that divide n exactly once.  A pass over p^j trades the
+uint64 cell's factor tau_k(p^(j-1)) for tau_k(p^j), an exact division and
+multiplication, except on p > 7 at j = 1, which only counts p, and at j = 2,
+which uncounts it and multiplies in C(k+1, k-1).  The powers 2^4, 3^2, 5 and
+7 repeat with period 5040, so they are sieved on the first 5040 cells only
+and copied across the window by doubling; the passes go on from 2^5, 3^3,
+5^2 and 7^2, and skip every prime with no multiple in the window.  A log sum
+that ends short of log2 n marks the one prime factor above sqrt(hi) the
+passes cannot reach.  A final pass multiplies each cell by
+k^(count + [short]), read from a 16-entry table of powers of k.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import comb, isqrt, log2
 from typing import Callable, Iterator, List, Tuple
@@ -62,6 +67,9 @@ _TAU_MAX = 2**62 - 1
 # The sieve's wheel: prime -> exponent of 2^4 3^2 5 7, and that product.
 _WHEEL_POWERS = {2: 4, 3: 2, 5: 1, 7: 1}
 _WHEEL = 5040
+
+# Cells per step of the sieve's final pass: its temporaries stay in cache.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -193,15 +201,19 @@ def tau_k_segment(k: int, lo: int, hi: int, *, _primes: np.ndarray | None = None
 
     Every n divisible by q = p^j has its factor tau_k(p^(j-1)) = C(k+j-2, k-1)
     divided out and tau_k(p^j) = C(k+j-1, k-1) multiplied in; both steps are
-    exact in uint64 because the cell already holds that factor.  A uint8 log
-    cell beside it sums a rounded, scaled log2 p on every hit; a cell whose
-    sum falls short of log2 n keeps one prime factor > sqrt(hi), worth k.
-    The powers 2^4, 3^2, 5 and 7 are sieved on the first 5040 cells and
-    copied across the window, and only primes with a multiple in the window
-    are walked; the products are exact, so their order changes no value.
-    The result is independent of how a larger range is cut into segments.
-    Windows whose values could reach 2^62 check the cells before each
-    multiply and raise OverflowError rather than return a wrapped value.
+    exact in uint64 because the cell already holds that factor.  A uint16
+    cell beside it sums a rounded, scaled log2 p on every hit in its low
+    byte; a sum that falls short of log2 n keeps one prime factor > sqrt(hi),
+    worth k.  Its high byte counts the primes p > 7 that divide n once: a hit
+    on p adds 256 to it and leaves the uint64 cell alone, a hit on p^2 takes
+    the 256 back and multiplies C(k+1, k-1) in.  A last pass over chunks of
+    the window multiplies each cell by k^(count + [short]) from a 16-entry
+    table.  The powers 2^4, 3^2, 5 and 7 are sieved on the first 5040 cells
+    and copied across the window, and only primes with a multiple in the
+    window are walked; the products are exact, so their order changes no
+    value.  The result is independent of how a larger range is cut into
+    segments.  Windows whose values could reach 2^62 check the cells before
+    each multiply and raise OverflowError rather than return a wrapped value.
     The cap on the width is fixed; tau_k_segments() streams wider ranges.
     """
     _check_range(k, lo, hi)
@@ -251,31 +263,33 @@ def tau_k_segment(k: int, lo: int, hi: int, *, _primes: np.ndarray | None = None
     # only and that head is copied across the window by doubling.
     head = min(n, _WHEEL)
     tau = np.empty(n, dtype=np.uint64)
-    logs = np.empty(n, dtype=np.uint8)
+    # Low byte: the log sum, <= 240 above, so it never carries.  High byte:
+    # the count of primes above the wheel that divide n exactly once.
+    cells = np.empty(n, dtype=np.uint16)
     tau[:head] = 1
-    logs[:head] = 0
+    cells[:head] = 0
 
-    def guard(cells: np.ndarray, factor: int, where: np.ndarray | bool = True) -> None:
-        """Raise unless every cell under `where` times factor stays <= _TAU_MAX."""
-        cap = _TAU_MAX // factor  # the plain max is cheap; the masked one decides
-        if cells.max() > cap and cells.max(initial=0, where=where) > cap:
+    def guard(vals: np.ndarray, factor: int | np.ndarray) -> None:
+        """Raise unless every cell times its factor stays <= _TAU_MAX."""
+        if (vals > _TAU_MAX // factor).any():
             raise OverflowError(
                 f"tau_{k} exceeds the 64-bit sieve range on [{lo}, {hi}); "
                 f"use tau_k_of for exact big-integer values"
             )
 
     def strike(p: int, lp: int, j: int, last: int, stop: int) -> None:
-        """Sieve p^j .. p^last on the first `stop` cells."""
+        """Trade tau_k(p^(j-1)) for tau_k(p^j), for p^j .. p^last on the
+        first `stop` cells."""
         q = p**j
         # no multiple of p^j in the cells means none of p^(j+1) either
         while j <= last and (s := -lo % q) < stop:
-            cells = tau[s:stop:q]
+            vals = tau[s:stop:q]
             if j > 1:
-                cells //= binom[j - 1]
+                vals //= binom[j - 1]
             if guarded:
-                guard(cells, binom[j])
-            cells *= binom[j]
-            logs[s:stop:q] += lp
+                guard(vals, binom[j])
+            vals *= binom[j]
+            cells[s:stop:q] += lp
             q, j = q * p, j + 1
 
     for p, lp in zip(ps[:4].tolist(), lps):  # the wheel primes lead ps
@@ -284,27 +298,55 @@ def tau_k_segment(k: int, lo: int, hi: int, *, _primes: np.ndarray | None = None
     done = head
     while done < n:
         step = min(done, n - done)
-        for a in (tau, logs):
+        for a in (tau, cells):
             a[done : done + step] = a[:step]
         done += step
     for p, lp in zip(ps.tolist(), lps):
-        strike(p, lp, _WHEEL_POWERS.get(p, 0) + 1, 63, n)
-    big = np.empty(n, dtype=bool)
+        if p in _WHEEL_POWERS:
+            strike(p, lp, _WHEEL_POWERS[p] + 1, 63, n)
+            continue
+        # p once: count it, its factor k waits for the final pass
+        cells[-lo % p :: p] += 256 + lp
+        q = p * p
+        if (s := -lo % q) < n:
+            # p^2: uncount it and put in C(k+1, k-1); the cell holds no k to divide out
+            vals = tau[s::q]
+            if guarded:
+                guard(vals, binom[2])
+            vals *= binom[2]
+            cells[s::q] -= 256 - lp
+            strike(p, lp, 3, 63, n)
+    # The final pass: each cell times k^(count + [P > 1]).  The count is at
+    # most 13, as 11 * 13 * ... * 59 < 2^63 < 11 * 13 * ... * 61, so the
+    # exponent indexes a 16-entry table; 16^15 = 2^60 fits.  Flipping the
+    # log byte to 255 - c and adding t carries into the count byte exactly
+    # when c < t, so the high byte is then the exponent.
+    powers = np.array([k**e for e in range(16)], dtype=np.uint64)
+    factor = np.empty(min(n, _CHUNK), dtype=np.uint64)
+    # The slices [a, b) of the window that share a threshold: cells
+    # starts[j] .. starts[j + 1] - 1 compare with ts[j].
+    starts, ts = [], []
     drop = (scale / 4 + 1 / 8) * log2(hi)
     a = lo
     while a < hi:
         b = min(hi, a + a // 8 + 1)
-        t = round(scale * (log2(a) + log2(b - 1)) / 2 - drop)
-        # t <= 0 leaves no cell below it; a negative scalar cannot meet uint8
-        np.less(logs[a - lo : b - lo], max(t, 0), out=big[a - lo : b - lo])
+        starts.append(a - lo)
+        # t <= 0 leaves no cell below it
+        ts.append(max(round(scale * (log2(a) + log2(b - 1)) / 2 - drop), 0))
         a = b
-    if guarded:
-        guard(tau, k, big)
-    # 1 + (k - 1) [P > 1] <= 16 fits the uint8 cell; one plain multiply
-    factor = big.view(np.uint8)
-    factor *= k - 1
-    factor += 1
-    tau *= factor
+    starts.append(n)
+    for i in range(0, n, _CHUNK):
+        e = cells[i : i + _CHUNK]
+        e ^= 0xFF
+        for j in range(bisect_right(starts, i) - 1, bisect_left(starts, i + e.size)):
+            e[max(starts[j] - i, 0) : starts[j + 1] - i] += ts[j]
+        e >>= 8
+        # e <= 14, so "clip" never clips; it spares take() a buffered copy
+        f = powers.take(e, out=factor[: e.size], mode="clip")
+        vals = tau[i : i + e.size]
+        if guarded:
+            guard(vals, f)
+        vals *= f
     return TauSegment(k=k, lo=lo, hi=hi, values=tau)
 
 

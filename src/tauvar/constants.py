@@ -40,7 +40,6 @@ __all__ = [
     "a_k_value",
     "a_k_d",
     "gamma_k_simple",
-    "gamma_3_piecewise",
     "GAMMA_METHODS",
     "check_gamma_domain",
     "gamma_eval",
@@ -248,13 +247,6 @@ _GAMMA_PIECEWISE: Dict[int, PiecewisePolynomial] = {
 }
 
 
-def gamma_3_piecewise(c: float) -> float:
-    """The explicit piecewise polynomial gamma_3 on [0, 3]."""
-    if not (0.0 <= c <= 3.0):
-        raise ValueError(f"c = {c} outside [0, 3]")
-    return GAMMA3_PIECEWISE.eval_float(float(c))
-
-
 def _check_simple_domain(k: int, c: float) -> None:
     _check_k(k)
     if not (k - 1 <= c < k):
@@ -312,7 +304,7 @@ def gamma_eval(
     if method == "simple":
         return ConstantValue(gamma_k_simple(k, c), "closed-form", 0.0, {})
     if method == "piecewise":
-        return ConstantValue(gamma_3_piecewise(c), "piecewise", 0.0, {})
+        return ConstantValue(GAMMA3_PIECEWISE.eval_float(float(c)), "piecewise", 0.0, {})
     return gamma_k_mc(k, c, mc_samples, mc_seed)
 
 

@@ -19,9 +19,11 @@ a strong check of the character machinery.
 The cutoff is decoded once per call into the weight every segment carries:
 the fixed bump normalized to int w^2 = 1 (`make_bump_weight`) for the smooth
 cutoff, and none for the sharp one, whose [n <= X] is the sieved range
-itself.  Each segment casts its tau values into a zero-padded (rows, d)
-grid, column j holding the n = j mod d, multiplies the weight in there, if
-any, and sums the rows in order, so every class adds in ascending n.
+itself.  Each segment lays its n row by row in a (rows, d) grid, column j
+holding the n = j mod d, and walks it in blocks of whole rows of about 2^16
+cells.  A block is cast into one reused buffer whose first row holds the
+running class sums, weighed there in place, if at all, and summed along its
+rows in order, so every class adds in ascending n, as over the whole grid.
 Class sums are merged across segments in ascending order with Kahan
 compensation, which makes every result independent of the worker count.
 """
@@ -63,10 +65,13 @@ SIEVE_BUDGET = 2**31
 CUTOFFS = ("sharp", "smooth")
 
 # Sieve entries per second, for cost estimates in error messages: the
-# median desk-probe.arith.sieve_mentries_per_s of the four traced runs in
-# BENCH_11.json (41.4 M/s, 2^22 windows, one worker on a 2-CPU machine,
-# numpy 2.4).
-_SIEVE_RATE = 4.14e7
+# median desk-probe.arith.sieve_mentries_per_s of the four traced runs of
+# the change in BENCH_17.json (39.7 M/s, 2^22 windows, one worker on a
+# 2-CPU machine, numpy 2.4).
+_SIEVE_RATE = 3.97e7
+
+# Cells per row block of a segment's class sums: the block's buffers stay in cache.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -89,28 +94,43 @@ class ClassSums:
 def _segment_task(args) -> np.ndarray:
     """Sums of one sieve segment over every residue class mod d, units or not,
     each n weighed by weight(n / x), or by 1 when weight is None; top-level
-    so worker pools can pickle it."""
+    so worker pools can pickle it.  Its buffers hold at most about 2^16
+    cells, or one row of d cells when d is wider."""
     (k, lo, hi, d, x, weight, primes) = args
-    # The window, row by row in a zero-padded (rows, d) grid: column j holds
-    # the n = j mod d in ascending order.  The sieve keeps tau below 2^62, so
-    # its int64 view casts to float64 exactly, and faster than uint64 does;
-    # tau is dropped before the weight allocates.
-    start = lo % d
-    rows = -(-(start + hi - lo) // d)
-    grid = np.zeros(rows * d)
-    window = grid[start : start + hi - lo]
-    tau = tau_k_segment(k, lo, hi, _primes=primes).values
-    window[:] = tau.view(np.int64)
-    del tau
-    if weight is not None:
-        y = np.arange(lo, hi, dtype=np.float64)  # exact: the budget keeps n < 2^33
-        y /= x
-        # w(y), evaluated in place in y, times float(tau): bincount's product
-        window *= weight.values(y, out=y)
-    # Summing the rows one after another adds each class in ascending n, as
-    # bincount does; numpy would sum a lone column (d = 1) pairwise instead,
-    # so that one takes the running sum.
-    return grid.reshape(rows, d).sum(axis=0) if d > 1 else np.cumsum(grid)[-1:]
+    # The sieve keeps tau below 2^62, so its int64 view casts to float64
+    # exactly, and faster than uint64 does.
+    tau = tau_k_segment(k, lo, hi, _primes=primes).values.view(np.int64)
+    # The window lies row by row in a (rows, d) grid that starts at the row
+    # of lo: column j holds the n = j mod d in ascending order.  It is walked
+    # in blocks of whole rows, each cast into rows 1.. of one buffer whose
+    # row 0 holds the running class sums; cells outside the window stay 0.
+    # rows per block: about _BLOCK cells, at least one row, at most the window's
+    rows = max(1, min(_BLOCK // d, -(-(lo % d + hi - lo) // d)))
+    buf = np.zeros((rows + 1) * d)
+    sums = np.zeros(d)
+    for b_lo in range(lo - lo % d, hi, rows * d):
+        a, b = max(b_lo, lo), min(b_lo + rows * d, hi)
+        block = buf[: d * (1 + -(-(b - b_lo) // d))]
+        block[:d] = sums
+        block[d + b - b_lo :] = 0.0  # the tail of the last row
+        window = block[d + a - b_lo : d + b - b_lo]
+        vals = tau[a - lo : b - lo]
+        if weight is None:
+            window[:] = vals
+        else:
+            # y = n / x in the cells, w(y) in place, then times float(tau):
+            # bincount's product.  n < 2^33 under the budget, so y is exact.
+            np.divide(np.arange(a, b, dtype=np.float64), x, out=window)
+            weight.values(window, out=window)
+            window *= vals
+        # Summing the rows one after another adds each class in ascending n,
+        # as bincount does; numpy would sum a lone column (d = 1) pairwise
+        # instead, so that one takes the running sum.
+        if d > 1:
+            block.reshape(-1, d).sum(axis=0, out=sums)
+        else:
+            sums[0] = np.cumsum(block, out=block)[-1]
+    return sums
 
 
 def _check_point(d: int, cutoff: str, workers: int) -> None:

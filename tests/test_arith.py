@@ -170,10 +170,13 @@ def test_tau_segment_overflow_guard():
     with pytest.raises(OverflowError):
         tau_k_segment(16, n, n + 1)
     # the band between 2^61 and 2^63: one value just under 2^62 is returned
-    # exactly, one just over it raises
+    # exactly, one just over it raises; in the last two, primes from 11 on
+    # divide n once, so their factors k cross 2^62 in the final multiply
     for k, factors, want in (
         (12, {2: 3, 3: 15, 5: 3, 7: 3, 11: 6}, 4611563034396631040),
         (16, {2: 1, 3: 18, 5: 12, 7: 1}, 4615632648375091200),
+        (13, {2: 3, 3: 3, 5: 5, 7: 8, 11: 1, 13: 1, 17: 1, 19: 1}, 4609073533292319000),
+        (11, {2: 3, 3: 6, 5: 3, 7: 8, 11: 1, 13: 1, 17: 1, 19: 1, 23: 1}, 4616119259317710144),
     ):
         n = math.prod(p**e for p, e in factors.items())
         assert n <= MAX_N and 2**61 < want < 2**63
@@ -184,6 +187,12 @@ def test_tau_segment_overflow_guard():
         else:
             with pytest.raises(OverflowError):
                 tau_k_segment(k, n, n + 1, _primes=ps)
+    # the most once-dividing primes a cell counts: 11 * 13 * ... * 59, 13
+    # primes, is below 2^63, and times 61 above it
+    ps = np.array([11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59], dtype=np.int64)
+    n = math.prod(ps.tolist())
+    assert n <= MAX_N < n * 61 and tau_k_of(16, n) == 16**13
+    assert tau_k_segment(16, n, n + 1, _primes=ps).values.tolist() == [16**13]
 
 
 def test_guarded_window_checks_cells_in_place():

@@ -13,7 +13,7 @@ from tauvar.constants import (
     a_k_value,
     convolution_compare,
     g_k,
-    gamma_3_piecewise,
+    gamma_eval,
     gamma_integral_check,
     gamma_k_mc,
     gamma_k_simple,
@@ -104,13 +104,14 @@ def test_gamma_k_simple_examples():
 
 
 def test_gamma_3_piecewise_examples():
-    assert gamma_3_piecewise(0.5) == 0.5**8 / factorial(8)
+    assert gamma_eval(3, 0.5, "piecewise").value == 0.5**8 / factorial(8)
     assert GAMMA3_PIECEWISE.eval_exact(Fraction(1)) == Fraction(1, factorial(8))
     assert GAMMA3_PIECEWISE.eval_exact(Fraction(2)) == Fraction(1, factorial(8))
-    with pytest.raises(ValueError):
-        gamma_3_piecewise(3.5)
-    with pytest.raises(ValueError):
-        gamma_3_piecewise(-0.1)
+    # the domain is checked once, by check_gamma_domain, with its message;
+    # c = inf and NaN fail it too, before Fraction(c) could raise otherwise
+    for c in (3.5, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="gamma method 'piecewise' needs c in"):
+            gamma_eval(3, c, "piecewise")
 
 
 def test_gamma_3_branch_continuity_exact():
@@ -134,7 +135,8 @@ def test_gamma_3_matches_simple_form_on_last_branch():
     for c in (Fraction(2), Fraction(9, 4), Fraction(5, 2), Fraction(11, 4)):
         assert GAMMA3_PIECEWISE.eval_exact(c) == (3 - c) ** 8 / factorial(8)
     for c in (2.0, 2.25, 2.5, 2.75, 2.999):
-        assert gamma_3_piecewise(c) == pytest.approx(gamma_k_simple(3, c), rel=1e-11)
+        want = pytest.approx(gamma_k_simple(3, c), rel=1e-11)
+        assert gamma_eval(3, c, "piecewise").value == want
 
 
 def test_gamma_k_mc_k1_exact():

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,6 +273,43 @@ def test_segment_weight_on_windows_wider_than_the_wheel(k, lo, width, d, place, 
     task = (k, lo, hi, d, x, weight, None)
     part = _segment_task(task)[units(d)]
     assert np.array_equal(part, bincount_class_sums(k, lo, hi, d, x, weight))
+
+
+@pytest.mark.parametrize("d", [1, 2, 97, 1009, 65537, 100003])
+@pytest.mark.parametrize("place", ["sharp", "inside", "crosses 1", "crosses 2"])
+def test_segment_class_sums_over_row_blocks_match_bincount(d, place):
+    # A window that starts mid-row and spans more than three of the blocks
+    # of whole rows it is summed in (65537 and 100003 give one row a block):
+    # every class still adds in ascending n, so the sums stay bincount's.
+    block = max(1, variance._BLOCK // d) * d
+    lo = 10**7 // d * d + (d + 1) // 2
+    width = 3 * block + block // 2 + 5
+    hi = lo + width
+    weight = None if place == "sharp" else make_bump_weight()
+    if place in ("sharp", "inside"):
+        x = (lo + hi - 1) / 3  # every n / x in (1, 2)
+    elif place == "crosses 1":
+        x = lo + width / 2 + 0.3
+    else:
+        x = (lo + width / 2 + 0.3) / 2
+    part = _segment_task((3, lo, hi, d, x, weight, None))[units(d)]
+    assert np.array_equal(part, bincount_class_sums(3, lo, hi, d, x, weight))
+
+
+@pytest.mark.parametrize("d", [1, 1009, 100003])
+def test_segment_class_sums_stay_near_the_sieve_memory(d):
+    # The sieve's 8-byte cells of a 2^20-entry smooth window, plus blocks of
+    # about 2^16 cells: no array of the window's size is added beside them.
+    n = 2**20
+    lo = 64160001
+    task = (3, lo, lo + n, d, lo - 1.0, make_bump_weight(), None)
+    tracemalloc.start()
+    try:
+        _segment_task(task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 12
 
 
 def test_class_sums_compute_units_once(monkeypatch):
