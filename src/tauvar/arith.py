@@ -9,25 +9,26 @@ Provides:
 tau_k(n) is the number of ordered k-tuples with product n.  On prime powers
 tau_k(p^j) = C(k+j-1, k-1), and tau_k is multiplicative, so every pointwise
 value is a product of binomials over the prime factorization.  The segmented
-sieve computes the same values in bulk with one strided pass per prime power
-p^j.  Each n has an exact uint64 cell and a uint16 cell: the low byte of the
-latter sums a rounded, scaled log2 p per hit, the high byte counts the primes
-above the wheel that divide n exactly once.  A pass over p^j trades the
-uint64 cell's factor tau_k(p^(j-1)) for tau_k(p^j), an exact division and
-multiplication, except on p > 7 at j = 1, which only counts p, and at j = 2,
-which uncounts it and multiplies in C(k+1, k-1).  The powers 2^4, 3^2, 5 and
-7 repeat with period 5040, so they are sieved on the first 5040 cells only
-and copied across the window by doubling; the passes go on from 2^5, 3^3,
-5^2 and 7^2, and skip every prime with no multiple in the window.  A log sum
-that ends short of log2 n marks the one prime factor above sqrt(hi) the
-passes cannot reach.  A final pass multiplies each cell by
-k^(count + [short]), read from a 16-entry table of powers of k.
+sieve computes the same values in bulk, in two passes over two cells per n.
+The uint16 pass walks the whole window with one strided step per prime
+power p^j: each hit takes a rounded, scaled log2 p off the low byte, whose
+sum tells whether n keeps one prime factor above sqrt(hi) that no step
+reaches, and a prime above the wheel that divides n once adds 1 to the high
+byte.  The uint64 pass then works on blocks of the output that fit the L2
+cache: it trades the cell's factor tau_k(p^(j-1)) for tau_k(p^j), an exact
+division and multiplication, for p^j from 2^5, 3^3, 5^2 and 7^2 on and from
+p^2 on for the other primes, and multiplies each cell by k^(high byte),
+read from a 16-entry table.  The powers 2^4, 3^2, 5 and 7 repeat with
+period 5040, so the first 5040 cells read their factors and log units from
+a table of the 60 rows of valuations capped there, and are copied across
+the window by doubling; primes with no multiple in the window are skipped.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import product
 from math import comb, isqrt, log2
 from typing import Callable, Iterator, List, Tuple
 
@@ -68,8 +69,29 @@ _TAU_MAX = 2**62 - 1
 _WHEEL_POWERS = {2: 4, 3: 2, 5: 1, 7: 1}
 _WHEEL = 5040
 
-# Cells per step of the sieve's final pass: its temporaries stay in cache.
-_CHUNK = 1 << 16
+
+def _wheel_rows() -> Tuple[np.ndarray, np.ndarray]:
+    """The 60 rows (v2, v3, v5, v7) of valuations capped at 2^4, 3^2, 5 and
+    7, in mixed-radix order, and the row of each residue mod 5040 over two
+    turns, so that any 5040 consecutive residues are one slice."""
+    rows = np.array(list(product(*(range(e + 1) for e in _WHEEL_POWERS.values()))))
+    r = np.arange(_WHEEL)
+    row_of = np.zeros(_WHEEL, dtype=np.int64)
+    for p, e in _WHEEL_POWERS.items():
+        row_of = row_of * (e + 1) + sum(r % p**j == 0 for j in range(1, e + 1))
+    return rows, np.tile(row_of, 2).astype(np.uint8)
+
+
+_WHEEL_ROWS, _WHEEL_ROW_OF = _wheel_rows()
+
+# The sieve's cache budget, one core's L2, and the cells per block of its
+# uint64 pass, 2^18 of 8 bytes.
+_L2 = 1 << 21
+_BLOCK = _L2 // 8
+
+# Cells per step of the sieve's last multiply: its two 8-byte temporaries
+# take an eighth of the budget.
+_CHUNK = _BLOCK // 16
 
 
 @dataclass(frozen=True)
@@ -199,22 +221,27 @@ def _check_window(segment_size: int) -> None:
 def tau_k_segment(k: int, lo: int, hi: int, *, _primes: np.ndarray | None = None) -> TauSegment:
     """Sieve tau_k(n) for all n in [lo, hi), at most DEFAULT_SEGMENT_SIZE entries.
 
-    Every n divisible by q = p^j has its factor tau_k(p^(j-1)) = C(k+j-2, k-1)
-    divided out and tau_k(p^j) = C(k+j-1, k-1) multiplied in; both steps are
-    exact in uint64 because the cell already holds that factor.  A uint16
-    cell beside it sums a rounded, scaled log2 p on every hit in its low
-    byte; a sum that falls short of log2 n keeps one prime factor > sqrt(hi),
-    worth k.  Its high byte counts the primes p > 7 that divide n once: a hit
-    on p adds 256 to it and leaves the uint64 cell alone, a hit on p^2 takes
-    the 256 back and multiplies C(k+1, k-1) in.  A last pass over chunks of
-    the window multiplies each cell by k^(count + [short]) from a 16-entry
-    table.  The powers 2^4, 3^2, 5 and 7 are sieved on the first 5040 cells
-    and copied across the window, and only primes with a multiple in the
-    window are walked; the products are exact, so their order changes no
-    value.  The result is independent of how a larger range is cut into
-    segments.  Windows whose values could reach 2^62 check the cells before
-    each multiply and raise OverflowError rather than return a wrapped value.
-    The cap on the width is fixed; tau_k_segments() streams wider ranges.
+    One sieve in two passes over two cells per n.  The uint16 pass walks
+    the whole window, one strided step per prime power p^j: every hit takes
+    a rounded, scaled log2 p off the cell's low byte, whose sum tells
+    whether n keeps one prime factor > sqrt(hi), worth k; a hit on a prime
+    p > 7 adds 256 and one on p^2 takes it back, so the high byte counts the
+    primes above the wheel that divide n once.  The uint64 pass then fills
+    the output in place, in blocks of 2^18 cells that fit the L2 cache:
+    each block takes in its phase of the 5040-cell head, whose factors for
+    2^4, 3^2, 5 and 7 come from a table, strikes 2^5, 3^3, 5^2 and 7^2 on,
+    and p^2 on for the other primes, trading the cell's factor
+    tau_k(p^(j-1)) = C(k+j-2, k-1) for tau_k(p^j) = C(k+j-1, k-1) by an
+    exact division and multiplication, and multiplies each cell by
+    k^(high byte) from a 16-entry table.  A window wider than a block
+    strikes the squares of the primes from 67 on once instead: it finds
+    their few hits and multiplies each hit cell by its tau_k(p^e).  Only
+    primes with a multiple in the window are walked.  The products are
+    exact, so their order changes no value, and the result is independent
+    of how a larger range is cut into segments.  Windows whose values could
+    reach 2^62 check the cells before each multiply and raise OverflowError
+    rather than return a wrapped value.  The cap on the width is fixed;
+    tau_k_segments() streams wider ranges.
     """
     _check_range(k, lo, hi)
     if hi - lo > DEFAULT_SEGMENT_SIZE:
@@ -257,72 +284,7 @@ def tau_k_segment(k: int, lo: int, hi: int, *, _primes: np.ndarray | None = None
     #   at B = 54, the first with s = 3).  So c < t exactly when P > 1.
     bits = hi.bit_length()
     scale = (480 - bits) // (2 * bits)
-    lps = np.rint(scale * np.log2(ps)).astype(np.int64).tolist()
-    # The wheel: cells i and i + 5040 share every valuation capped at
-    # 2^4, 3^2, 5 and 7, so those powers are sieved on the first 5040 cells
-    # only and that head is copied across the window by doubling.
-    head = min(n, _WHEEL)
-    tau = np.empty(n, dtype=np.uint64)
-    # Low byte: the log sum, <= 240 above, so it never carries.  High byte:
-    # the count of primes above the wheel that divide n exactly once.
-    cells = np.empty(n, dtype=np.uint16)
-    tau[:head] = 1
-    cells[:head] = 0
-
-    def guard(vals: np.ndarray, factor: int | np.ndarray) -> None:
-        """Raise unless every cell times its factor stays <= _TAU_MAX."""
-        if (vals > _TAU_MAX // factor).any():
-            raise OverflowError(
-                f"tau_{k} exceeds the 64-bit sieve range on [{lo}, {hi}); "
-                f"use tau_k_of for exact big-integer values"
-            )
-
-    def strike(p: int, lp: int, j: int, last: int, stop: int) -> None:
-        """Trade tau_k(p^(j-1)) for tau_k(p^j), for p^j .. p^last on the
-        first `stop` cells."""
-        q = p**j
-        # no multiple of p^j in the cells means none of p^(j+1) either
-        while j <= last and (s := -lo % q) < stop:
-            vals = tau[s:stop:q]
-            if j > 1:
-                vals //= binom[j - 1]
-            if guarded:
-                guard(vals, binom[j])
-            vals *= binom[j]
-            cells[s:stop:q] += lp
-            q, j = q * p, j + 1
-
-    for p, lp in zip(ps[:4].tolist(), lps):  # the wheel primes lead ps
-        if p in _WHEEL_POWERS:
-            strike(p, lp, 1, _WHEEL_POWERS[p], head)
-    done = head
-    while done < n:
-        step = min(done, n - done)
-        for a in (tau, cells):
-            a[done : done + step] = a[:step]
-        done += step
-    for p, lp in zip(ps.tolist(), lps):
-        if p in _WHEEL_POWERS:
-            strike(p, lp, _WHEEL_POWERS[p] + 1, 63, n)
-            continue
-        # p once: count it, its factor k waits for the final pass
-        cells[-lo % p :: p] += 256 + lp
-        q = p * p
-        if (s := -lo % q) < n:
-            # p^2: uncount it and put in C(k+1, k-1); the cell holds no k to divide out
-            vals = tau[s::q]
-            if guarded:
-                guard(vals, binom[2])
-            vals *= binom[2]
-            cells[s::q] -= 256 - lp
-            strike(p, lp, 3, 63, n)
-    # The final pass: each cell times k^(count + [P > 1]).  The count is at
-    # most 13, as 11 * 13 * ... * 59 < 2^63 < 11 * 13 * ... * 61, so the
-    # exponent indexes a 16-entry table; 16^15 = 2^60 fits.  Flipping the
-    # log byte to 255 - c and adding t carries into the count byte exactly
-    # when c < t, so the high byte is then the exponent.
-    powers = np.array([k**e for e in range(16)], dtype=np.uint64)
-    factor = np.empty(min(n, _CHUNK), dtype=np.uint64)
+    plist, lps = ps.tolist(), np.rint(scale * np.log2(ps)).astype(np.int64).tolist()
     # The slices [a, b) of the window that share a threshold: cells
     # starts[j] .. starts[j + 1] - 1 compare with ts[j].
     starts, ts = [], []
@@ -335,18 +297,135 @@ def tau_k_segment(k: int, lo: int, hi: int, *, _primes: np.ndarray | None = None
         ts.append(max(round(scale * (log2(a) + log2(b - 1)) / 2 - drop), 0))
         a = b
     starts.append(n)
-    for i in range(0, n, _CHUNK):
-        e = cells[i : i + _CHUNK]
-        e ^= 0xFF
-        for j in range(bisect_right(starts, i) - 1, bisect_left(starts, i + e.size)):
-            e[max(starts[j] - i, 0) : starts[j + 1] - i] += ts[j]
-        e >>= 8
-        # e <= 14, so "clip" never clips; it spares take() a buffered copy
-        f = powers.take(e, out=factor[: e.size], mode="clip")
-        vals = tau[i : i + e.size]
-        if guarded:
-            guard(vals, f)
-        vals *= f
+    # The uint16 cell of n ends at 256 (count + 1) + t - 1 - c, count the
+    # number of primes above the wheel that divide n exactly once: it
+    # starts at 255 + t, each hit on p^j takes r(p) off it, and a hit on
+    # p > 7 adds 256, taken back by a hit on p^2.  As 0 <= t, c <= 240, its
+    # high byte ends at count + [c < t], the exponent of k in tau_k(n)
+    # still to come.  The additions wrap mod 2^16 on the way, but the end
+    # value is the same in any order.  The count is at most 13, as
+    # 11 * 13 * ... * 59 < 2^63 < 11 * 13 * ... * 61, so k^(count + 1) is
+    # read from a 16-entry table; 16^15 = 2^60 fits.
+    # The wheel: cells i and i + 5040 share every valuation capped at
+    # 2^4, 3^2, 5 and 7, so the first 5040 cells, the head, take those
+    # powers' factors and log units from a table of the 60 rows of such
+    # valuations, for the wheel primes that are sieved.  The head is copied
+    # across the uint16 cells, and taken at its phase into every block of
+    # the uint64 ones.
+    lw = dict(zip(plist[:4], lps))  # the wheel primes lead ps
+    rows = _WHEEL_ROWS * [p in lw for p in _WHEEL_POWERS]
+    wheel_tau = np.array(binom[:5], dtype=np.uint64)[rows].prod(axis=1)
+    wheel_log = rows @ [lw.get(p, 0) for p in _WHEEL_POWERS]
+    head = min(n, _WHEEL)
+    cells = np.empty(n, dtype=np.uint16)
+    cells[:head] = (-wheel_log).astype(np.uint16)[_WHEEL_ROW_OF[lo % _WHEEL :][:head]]
+    tau = np.empty(n, dtype=np.uint64)
+
+    def guard(vals: np.ndarray, factor: int | np.ndarray) -> None:
+        """Raise unless every cell times its factor stays <= _TAU_MAX."""
+        if (vals > _TAU_MAX // factor).any():
+            raise OverflowError(
+                f"tau_{k} exceeds the 64-bit sieve range on [{lo}, {hi}); "
+                f"use tau_k_of for exact big-integer values"
+            )
+
+    def spread(a: np.ndarray, done: int) -> None:
+        """Copy the first `done` cells of a across all of it by doubling."""
+        while done < a.size:
+            step = min(done, a.size - done)
+            a[done : done + step] = a[:step]
+            done += step
+
+    # The uint16 pass, over the whole window: every log hit and count change.
+    spread(cells, head)
+    for j, t in enumerate(ts):
+        cells[starts[j] : starts[j + 1]] += 255 + t
+    # The uint64 pass strikes 2^5, 3^3, 5^2 and 7^2 on, and p^2 on for the
+    # other primes, whose cells hold no factor for p, its k waiting for the
+    # multiply by k^(high byte).  A window of one block strikes every prime
+    # so.  In a wider one, the squares of the primes from 67 on hit each
+    # block too rarely for a strided step per block: their hits are found
+    # once instead.
+    dense = len(plist) if n <= _BLOCK else bisect_right(plist, isqrt(_BLOCK // 64))
+    # (first cell, p^j, the factor for p its cells hold, j) of each power
+    strikes = []
+    for p, lp in zip(plist[:dense], lps):
+        if p in _WHEEL_POWERS:
+            j = _WHEEL_POWERS[p] + 1
+        else:
+            # p once: count it; p^2: uncount it
+            cells[-lo % p :: p] += 256 - lp
+            if (s := -lo % (p * p)) >= n:
+                continue
+            cells[s :: p * p] -= 256 + lp
+            strikes.append((s, p * p, 1, 2))
+            j = 3
+        q = p**j
+        while (s := -lo % q) < n:
+            cells[s::q] -= lp
+            strikes.append((s, q, binom[j - 1], j))
+            q, j = q * p, j + 1
+    for p, lp in zip(plist[dense:], lps[dense:]):
+        cells[-lo % p :: p] += 256 - lp
+    # The squares of the primes p >= 67: every hit, with its exponent e read
+    # off n.  The cells lose e - 1 more log units and the count; each hit
+    # cell gets the product of its tau_k(p^e), that of several primes on
+    # one cell merged.  Their exponents sum to at most 10, as 67^11 >
+    # 2^63, so the product stays <= 16^10.
+    hits = ()
+    if dense < ps.size:
+        big, lbig = ps[dense:], np.array(lps[dense:])
+        first = (-lo) % big**2
+        # (n - 1 - first) // p^2 is -1 for a square with no multiple
+        count = (n - 1 - first) // big**2 + 1
+        big, lbig, first = (np.repeat(v, count) for v in (big, lbig, first))
+        ith = np.arange(big.size) - np.repeat(np.cumsum(count) - count, count)
+        hits = first + big**2 * ith
+        e = np.full(hits.size, 2)
+        m = (hits + lo) // big**2
+        while (deeper := m % big == 0).any():
+            e += deeper
+            m //= np.where(deeper, big, 1)
+        np.add.at(cells, hits, (-256 - (e - 1) * lbig).astype(np.uint16))
+        hits, merge = np.unique(hits, return_inverse=True)
+        hit_factor = np.ones(hits.size, dtype=np.uint64)
+        table = np.array(binom[: e.max(initial=2) + 1], dtype=np.uint64)
+        np.multiply.at(hit_factor, merge, table[e])
+
+    powers = np.array([k**e for e in range(16)], dtype=np.uint64)
+    factor = np.empty(min(n, _CHUNK), dtype=np.uint64)
+    # The uint64 pass, block by block: the head, the strikes, the hits of
+    # the squares, and k^(high byte) in steps of _CHUNK cells.
+    for a in range(0, n, _BLOCK):
+        b = min(n, a + _BLOCK)
+        block = tau[a:b]
+        h = min(head, b - a)
+        wheel_tau.take(_WHEEL_ROW_OF[(lo + a) % _WHEEL :][:h], out=block[:h])
+        spread(block, h)
+        for s, q, held, j in strikes:
+            if (s := (s - a) % q) < b - a:
+                vals = block[s::q]
+                if held > 1:
+                    vals //= held
+                if guarded:
+                    guard(vals, binom[j])
+                vals *= binom[j]
+        if len(hits):
+            i, i_end = np.searchsorted(hits, (a, b))
+            at, f = hits[i:i_end], hit_factor[i:i_end]
+            vals = tau[at]
+            if guarded:
+                guard(vals, f)
+            tau[at] = vals * f
+        for i in range(a, b, _CHUNK):
+            c = cells[i : min(b, i + _CHUNK)]
+            c >>= 8
+            # c <= 14, so "clip" never clips; it spares take() a buffered copy
+            f = powers.take(c, out=factor[: c.size], mode="clip")
+            vals = tau[i : i + c.size]
+            if guarded:
+                guard(vals, f)
+            vals *= f
     return TauSegment(k=k, lo=lo, hi=hi, values=tau)
 
 

@@ -21,11 +21,14 @@ the fixed bump normalized to int w^2 = 1 (`make_bump_weight`) for the smooth
 cutoff, and none for the sharp one, whose [n <= X] is the sieved range
 itself.  Each segment lays its n row by row in a (rows, d) grid, column j
 holding the n = j mod d, and walks it in blocks of whole rows of about 2^16
-cells.  A block is cast into one reused buffer whose first row holds the
-running class sums, weighed there in place, if at all, and summed along its
-rows in order, so every class adds in ascending n, as over the whole grid.
-Class sums are merged across segments in ascending order with Kahan
-compensation, which makes every result independent of the worker count.
+cells.  It sieves tau_k in consecutive calls of whole blocks, about 2^20
+entries each, so one call's cells are alive at a time.  A block is cast
+into one reused buffer whose first row holds the running class sums, which
+carry from call to call, weighed there in place, if at all, and summed
+along its rows in order, so every class adds in ascending n, as over the
+whole grid.  Class sums are merged across segments in ascending order with
+Kahan compensation, which makes every result independent of the worker
+count.
 """
 
 from __future__ import annotations
@@ -40,7 +43,15 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ._version import __version__
-from .arith import DEFAULT_SEGMENT_SIZE, _check_window, divisors, primes_upto, tau_k_segment, units
+from .arith import (
+    _L2,
+    DEFAULT_SEGMENT_SIZE,
+    _check_window,
+    divisors,
+    primes_upto,
+    tau_k_segment,
+    units,
+)
 from .characters import CharacterGroup
 from .constants import ConstantValue, a_k_d, gamma_eval
 from .weights import make_bump_weight
@@ -65,13 +76,17 @@ SIEVE_BUDGET = 2**31
 CUTOFFS = ("sharp", "smooth")
 
 # Sieve entries per second, for cost estimates in error messages: the
-# median desk-probe.arith.sieve_mentries_per_s of the four traced runs of
-# the change in BENCH_17.json (39.7 M/s, 2^22 windows, one worker on a
-# 2-CPU machine, numpy 2.4).
-_SIEVE_RATE = 3.97e7
+# median desk-probe.arith.sieve_mentries_per_s of the two traced runs of
+# the change in BENCH_18.json (83.6 M/s, calls of about 2^20 entries, one
+# worker on a 2-CPU machine, numpy 2.4).
+_SIEVE_RATE = 8.36e7
 
 # Cells per row block of a segment's class sums: the block's buffers stay in cache.
 _BLOCK = 1 << 16
+
+# Entries per sieve call of a segment's class sums, 2^20: the sieve's uint16
+# cells of one call fill its L2 budget.
+_CALL = _L2 // 2
 
 
 @dataclass(frozen=True)
@@ -94,42 +109,50 @@ class ClassSums:
 def _segment_task(args) -> np.ndarray:
     """Sums of one sieve segment over every residue class mod d, units or not,
     each n weighed by weight(n / x), or by 1 when weight is None; top-level
-    so worker pools can pickle it.  Its buffers hold at most about 2^16
-    cells, or one row of d cells when d is wider."""
+    so worker pools can pickle it.  The segment is summed in blocks of whole
+    rows of about 2^16 cells, or one row of d cells when d is wider, and
+    sieved in calls of whole blocks, about 2^20 entries, at least one block
+    and at most the segment; a call's cells are dropped before the next."""
     (k, lo, hi, d, x, weight, primes) = args
-    # The sieve keeps tau below 2^62, so its int64 view casts to float64
-    # exactly, and faster than uint64 does.
-    tau = tau_k_segment(k, lo, hi, _primes=primes).values.view(np.int64)
     # The window lies row by row in a (rows, d) grid that starts at the row
     # of lo: column j holds the n = j mod d in ascending order.  It is walked
     # in blocks of whole rows, each cast into rows 1.. of one buffer whose
     # row 0 holds the running class sums; cells outside the window stay 0.
     # rows per block: about _BLOCK cells, at least one row, at most the window's
     rows = max(1, min(_BLOCK // d, -(-(lo % d + hi - lo) // d)))
+    # grid cells per sieve call: whole blocks, about _CALL of them
+    call = rows * d * max(1, _CALL // (rows * d))
     buf = np.zeros((rows + 1) * d)
     sums = np.zeros(d)
-    for b_lo in range(lo - lo % d, hi, rows * d):
-        a, b = max(b_lo, lo), min(b_lo + rows * d, hi)
-        block = buf[: d * (1 + -(-(b - b_lo) // d))]
-        block[:d] = sums
-        block[d + b - b_lo :] = 0.0  # the tail of the last row
-        window = block[d + a - b_lo : d + b - b_lo]
-        vals = tau[a - lo : b - lo]
-        if weight is None:
-            window[:] = vals
-        else:
-            # y = n / x in the cells, w(y) in place, then times float(tau):
-            # bincount's product.  n < 2^33 under the budget, so y is exact.
-            np.divide(np.arange(a, b, dtype=np.float64), x, out=window)
-            weight.values(window, out=window)
-            window *= vals
-        # Summing the rows one after another adds each class in ascending n,
-        # as bincount does; numpy would sum a lone column (d = 1) pairwise
-        # instead, so that one takes the running sum.
-        if d > 1:
-            block.reshape(-1, d).sum(axis=0, out=sums)
-        else:
-            sums[0] = np.cumsum(block, out=block)[-1]
+    for c_lo in range(lo - lo % d, hi, call):
+        first, c_hi = max(c_lo, lo), min(c_lo + call, hi)
+        # The sieve keeps tau below 2^62, so its int64 view casts to float64
+        # exactly, and faster than uint64 does.
+        tau = tau_k_segment(k, first, c_hi, _primes=primes).values.view(np.int64)
+        for b_lo in range(c_lo, c_hi, rows * d):
+            a, b = max(b_lo, lo), min(b_lo + rows * d, hi)
+            block = buf[: d * (1 + -(-(b - b_lo) // d))]
+            block[:d] = sums
+            block[d + b - b_lo :] = 0.0  # the tail of the last row
+            window = block[d + a - b_lo : d + b - b_lo]
+            vals = tau[a - first : b - first]
+            if weight is None:
+                window[:] = vals
+            else:
+                # y = n / x in the cells, w(y) in place, then times float(tau):
+                # bincount's product.  n < 2^33 under the budget, so y is exact.
+                np.divide(np.arange(a, b, dtype=np.float64), x, out=window)
+                weight.values(window, out=window)
+                window *= vals
+            # Summing the rows one after another adds each class in ascending n,
+            # as bincount does; numpy would sum a lone column (d = 1) pairwise
+            # instead, so that one takes the running sum.
+            if d > 1:
+                block.reshape(-1, d).sum(axis=0, out=sums)
+            else:
+                sums[0] = np.cumsum(block, out=block)[-1]
+        # the next call's cells replace this one's rather than join them
+        del tau, vals
     return sums
 
 

@@ -210,6 +210,103 @@ def test_guarded_window_checks_cells_in_place():
     assert peak / n <= 12
 
 
+def _prime_exponents(lo, hi):
+    """(slice of the window's multiples of p, the exponent of p in each) for
+    every prime p <= sqrt(hi), and the mask of the n left with one prime
+    factor above sqrt(hi): tau_k_of's factorization, by trial division of the
+    whole window at once."""
+    rest = np.arange(lo, hi, dtype=np.int64)
+    exponents = []
+    for p in arith.primes_upto(math.isqrt(hi - 1)).tolist():
+        multiples = slice(-lo % p, None, p)
+        of_p = rest[multiples]  # a view: the divisions below reach rest
+        e = np.zeros(of_p.size, dtype=np.int64)
+        while (hit := of_p % p == 0).any():
+            e += hit
+            of_p[hit] //= p
+        exponents.append((multiples, e))
+    return exponents, rest > 1
+
+
+def _tau_k_from_exponents(k, n, exponents, big):
+    table = np.array([math.comb(k + j - 1, k - 1) for j in range(64)], dtype=np.uint64)
+    out = np.ones(n, dtype=np.uint64)
+    for multiples, e in exponents:
+        out[multiples] *= table[e]
+    out[big] *= k
+    return out
+
+
+BLOCK = 2**18
+
+
+@pytest.mark.parametrize("width", [BLOCK - 1, BLOCK + 77, 3 * BLOCK + 5])
+@pytest.mark.parametrize("lo", [1, 40 * 5040 + 1, 41 * 5040 - 1, 2**20 - BLOCK - 3])
+def test_sieve_blocks_match_tau_k_of(lo, width):
+    # The uint64 pass runs in blocks of 2^18 cells, each starting at its own
+    # phase of the wheel; windows of one block, of one block and a tail and
+    # of more than three, from lo at several phases; the last lo crosses
+    # 2^20, where k = 16 is checked before each multiply.  Every entry is
+    # compared with tau_k_of's factorization, done in bulk, itself checked
+    # against tau_k_of on the cells next to each block edge.
+    hi = lo + width
+    exponents, big = _prime_exponents(lo, hi)
+    edges = [i for a in range(0, width, BLOCK) for i in range(a - 2, a + 3)]
+    edges = [i for i in edges if 0 <= i < width]
+    for k in (2, 3, 16):
+        want = _tau_k_from_exponents(k, width, exponents, big)
+        assert [int(want[i]) for i in edges] == [tau_k_of(k, lo + i) for i in edges]
+        assert np.array_equal(tau_k_segment(k, lo, hi).values, want)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        (521 * 523) ** 2,  # two squares too wide for a block on one cell
+        2 * (521 * 523) ** 2,  # the same, beside a prime of the wheel
+        67**5,  # the least prime whose square is struck once per window, 5 times
+    ],
+)
+def test_sieve_square_hits_of_wide_primes(n):
+    # A window wider than a block finds the hits of p^2 for p >= 67 once and
+    # multiplies each hit cell by the product of its tau_k(p^e); a cell hit
+    # by two such squares must get both factors.
+    lo = n - BLOCK - 50  # n lies in the second block
+    hi = lo + BLOCK + 77
+    exponents, big = _prime_exponents(lo, hi)
+    for k in (2, 3, 16):
+        want = _tau_k_from_exponents(k, hi - lo, exponents, big)
+        assert int(want[n - lo]) == tau_k_of(k, n)
+        assert np.array_equal(tau_k_segment(k, lo, hi).values, want)
+
+
+def test_overflow_guard_in_later_blocks():
+    # test_tau_segment_overflow_guard's values, each at the end of a window
+    # of two blocks sieved with its own primes: the window returns exactly
+    # when its one-cell window does, with the same value there.  In the
+    # last, 2^13 3^12 5^8 67^2 at k = 12, the product 66 * tau_12(2^13 3^12
+    # 5^8) of the hit of 67^2 wraps past 2^64 to below 2^62, so only the
+    # check before that multiply can catch it.
+    for k, factors in (
+        (12, {2: 13, 3: 12, 5: 8, 67: 2}),
+        (16, {2: 4, 3: 2, **dict.fromkeys([5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43], 1)}),
+        (12, {2: 3, 3: 15, 5: 3, 7: 3, 11: 6}),
+        (16, {2: 1, 3: 18, 5: 12, 7: 1}),
+        (13, {2: 3, 3: 3, 5: 5, 7: 8, 11: 1, 13: 1, 17: 1, 19: 1}),
+        (11, {2: 3, 3: 6, 5: 3, 7: 8, 11: 1, 13: 1, 17: 1, 19: 1, 23: 1}),
+    ):
+        n = math.prod(p**e for p, e in factors.items())
+        ps = np.array(sorted(factors), dtype=np.int64)
+        want = math.prod(tau_k_of(k, p**e) for p, e in factors.items())
+        if want < 2**62:
+            assert tau_k_segment(k, n, n + 1, _primes=ps).values.tolist() == [want]
+            assert int(tau_k_segment(k, n - BLOCK - 5, n + 1, _primes=ps).values[-1]) == want
+        else:
+            for lo in (n, n - BLOCK - 5):
+                with pytest.raises(OverflowError):
+                    tau_k_segment(k, lo, n + 1, _primes=ps)
+
+
 def _assert_sieve_matches_formula(k, lo, hi):
     seg = tau_k_segment(k, lo, hi)
     assert seg.values.dtype == np.uint64
@@ -273,8 +370,8 @@ def test_sieve_wheel_head_copies(k, turns, residue, width):
 def test_sieve_wheel_at_the_shadow_threshold(k, width, guarded):
     # As in test_sieve_matches_formula_at_the_shadow_threshold, the window
     # ending at 2^L runs without checks and the one ending at 2^L + 1 with
-    # them, here wider than the wheel, so the wheel's strikes on the first
-    # 5040 cells are checked too before the head is copied across.
+    # them, here wider than the wheel, so the head is copied across and the
+    # strikes from 2^5, 3^3, 5^2 and 7^2 on are checked too.
     # k >= 8 keeps 2^L <= 2^21, where tau_k_of is cheap.
     L = min(e for e in range(64) if k**e >= 2**62)
     hi = 2**L + guarded

@@ -312,6 +312,59 @@ def test_segment_class_sums_stay_near_the_sieve_memory(d):
     assert peak / n <= 12
 
 
+@pytest.mark.parametrize("d", [1, 1009, 300007])
+@pytest.mark.parametrize("place", ["sharp", "inside", "crosses 2"])
+def test_segment_class_sums_over_sieve_calls_match_bincount(d, place):
+    # A window of more than two sieve calls of about 2^20 entries, starting
+    # mid-row: the running class sums carry from call to call, so every
+    # class still adds in ascending n.
+    lo = 10**7 // d * d + (d + 1) // 2
+    width = 2**21 + 1000
+    hi = lo + width
+    weight = None if place == "sharp" else make_bump_weight()
+    x = (lo + hi - 1) / 3 if place in ("sharp", "inside") else (lo + width / 2 + 0.3) / 2
+    part = _segment_task((3, lo, hi, d, x, weight, None))[units(d)]
+    assert np.array_equal(part, bincount_class_sums(3, lo, hi, d, x, weight))
+
+
+@pytest.mark.parametrize("d", [1, 1009, 100003])
+def test_segment_class_sums_sieve_in_calls(d):
+    # A 2^22-entry window is sieved in calls of about 2^20 entries, one call's
+    # cells alive at a time: about a quarter of the 10 bytes per entry that
+    # sieving it whole would take.
+    n = 2**22
+    lo = 64160001
+    task = (3, lo, lo + n, d, lo - 1.0, make_bump_weight(), None)
+    tracemalloc.start()
+    try:
+        _segment_task(task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 4
+
+
+def test_class_sums_sieve_every_entry_once(monkeypatch):
+    # Every summed entry goes through tau_k_segment, in ascending calls that
+    # tile [lo, hi) exactly, whatever the window and the call size.
+    calls = []
+
+    def recording(k, lo, hi, **kwargs):
+        calls.append((lo, hi))
+        return tau_k_segment(k, lo, hi, **kwargs)
+
+    monkeypatch.setattr(variance, "tau_k_segment", recording)
+    x = 1.3e6
+    lo, hi = int(x) + 1, int(2 * x) + 1
+    for segment_size in (DEFAULT_SEGMENT_SIZE, 300_000):
+        calls.clear()
+        compute_class_sums(3, 1009, x, "smooth", segment_size=segment_size)
+        assert calls[0][0] == lo and calls[-1][1] == hi
+        assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
+        assert sum(b - a for a, b in calls) == hi - lo
+    assert len(calls) > (hi - lo) // 300_000
+
+
 def test_class_sums_compute_units_once(monkeypatch):
     # units(d) is an O(d) gcd pass; per segment it made a narrow window cost O(d)
     calls = []
