@@ -8,11 +8,15 @@ group-exponent order, so repeated-angle arithmetic never drifts.
 
 Whole-group work runs on the grid of exponent vectors, of shape `orders`:
 `transform` gives sum_a conj(chi(a)) v_a for every chi by one FFT, and
-`conductors` holds every conductor as an lcm of per-factor rules.
+`conductors` holds every conductor as an lcm of per-factor rules.  One
+group mod d also serves every q | d: `primitive_powers` takes the logs of
+the residues mod each prime power p^f | d once and runs one FFT per q over
+them, keeping the characters of conductor q.
 
 Discrete-log tables are built per prime-power component at construction
-time, which bounds usable moduli (10^7 by default) but makes evaluation a
-table lookup plus integer arithmetic.
+time, from blocks of a power table of the generator, which bounds
+usable moduli (10^7 by default) but makes evaluation a table lookup plus
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from math import gcd, lcm
-from typing import Iterator, List, Tuple
+from math import gcd, lcm, prod
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +43,9 @@ __all__ = [
 
 MAX_MODULUS = 10**7
 _GAUSS_MAX = 10**6
+
+# Baby steps per block of a discrete-log table's power table.
+_BABY = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -65,13 +72,27 @@ def _smallest_primitive_root(p: int, e: int) -> int:
         g += 1
 
 
+def _power_blocks(g: int, order: int, modulus: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """(g^i mod modulus, i) for i in range(order), in blocks of at most 2^16
+    entries: a baby table of g^j, filled by doubling, times each giant step
+    g^i.  Cells stay below modulus <= 2^24, so every product fits in int64,
+    and the blocks bound the scratch memory whatever the order."""
+    baby = np.ones(min(order, _BABY), dtype=np.int64)
+    size = 1
+    while size < baby.size:
+        step = min(size, baby.size - size)
+        baby[size : size + step] = baby[:step] * pow(g, size, modulus) % modulus
+        size += step
+    for i in range(0, order, baby.size):
+        n = min(baby.size, order - i)
+        yield baby[:n] * pow(g, i, modulus) % modulus, np.arange(i, i + n)
+
+
 def _cyclic_component(p: int, e: int, generator: int, order: int) -> _Component:
     pe = p**e
     dlog = np.full(pe, -1, dtype=np.int64)
-    a = 1
-    for i in range(order):
-        dlog[a] = i
-        a = (a * generator) % pe
+    for r, i in _power_blocks(generator, order, pe):
+        dlog[r] = i
     return _Component(p=p, e=e, modulus=pe, generator=generator, order=order, dlog=dlog)
 
 
@@ -81,16 +102,59 @@ def _two_power_components(e: int) -> List[_Component]:
     order5 = 1 << (e - 2)
     dlog_m1 = np.full(pe, -1, dtype=np.int64)
     dlog_5 = np.full(pe, -1, dtype=np.int64)
-    a = 1
-    for t in range(order5):
-        for s, r in ((0, a), (1, pe - a)):
+    for fives, t in _power_blocks(5, order5, pe):
+        for s, r in ((0, fives), (1, pe - fives)):
             dlog_m1[r] = s
             dlog_5[r] = t
-        a = (a * 5) % pe
     return [
         _Component(p=2, e=e, modulus=pe, generator=pe - 1, order=2, dlog=dlog_m1),
         _Component(p=2, e=e, modulus=pe, generator=5 % pe, order=order5, dlog=dlog_5),
     ]
+
+
+def _prime_power_components(p: int, e: int) -> List[_Component]:
+    """The cyclic factors of (Z/p^e)*, e >= 0: none for 1 and 2, <3> mod 4,
+    <-1> x <5> mod 2^e for e >= 3, else <g> with g the least primitive root."""
+    if e == 0 or p**e == 2:
+        return []
+    if p == 2:
+        return [_cyclic_component(2, 2, 3, 2)] if e == 2 else _two_power_components(e)
+    return [_cyclic_component(p, e, _smallest_primitive_root(p, e), p ** (e - 1) * (p - 1))]
+
+
+def _conductor_grid(comps: Sequence[_Component]) -> np.ndarray:
+    """Conductor of every character on the exponent grid of the given factors.
+
+    A character of order o > 1 on the factor mod p^e needs p * gcd(o, p^e),
+    twice that on the <5> factor of (Z/2^e)*, and the conductor is the lcm
+    over the factors; the tests check it against the minimal-f definition.
+    """
+    needs = []
+    for c in comps:
+        o = c.order // np.gcd(c.order, np.arange(c.order))
+        twice = 2 if c.p == 2 and c.generator == 5 else 1
+        needs.append(np.where(o > 1, twice * c.p * np.gcd(o, c.modulus), 1))
+    return reduce(np.lcm.outer, needs, np.ones((), dtype=np.int64))
+
+
+def _is_primitive(p: int, e: int, comps: Sequence[_Component]) -> np.ndarray:
+    """Whether each character of the factors mod p^e has conductor p^e."""
+    return _conductor_grid(comps) == p**e
+
+
+def _outer_and(masks) -> np.ndarray:
+    """The outer AND of per-prime masks: true where every factor's entry is."""
+    return reduce(np.logical_and.outer, masks, np.ones((), dtype=bool))
+
+
+def _fourier(orders: Tuple[int, ...], logs: Sequence[np.ndarray], n: int, values) -> np.ndarray:
+    """sum_a conj(chi(a)) v_a on the exponent grid of shape `orders`, from the
+    per-factor logs of the n residues: one bincount, one FFT."""
+    flat = np.zeros(n, dtype=np.int64)
+    for o, lv in zip(orders, logs):
+        flat = flat * o + lv
+    grid = np.bincount(flat, weights=values, minlength=prod(orders))
+    return np.fft.fftn(grid.reshape(orders))
 
 
 class CharacterGroup:
@@ -106,28 +170,20 @@ class CharacterGroup:
             )
         self.d = d
         self.factorization: Factorization = factorize(d)
-        comps: List[_Component] = []
-        for p, e in self.factorization.factors:
-            if p == 2:
-                if e == 1:
-                    continue  # trivial unit group
-                if e == 2:
-                    comps.append(_cyclic_component(2, 2, 3, 2))
-                else:
-                    comps.extend(_two_power_components(e))
-            else:
-                g = _smallest_primitive_root(p, e)
-                comps.append(_cyclic_component(p, e, g, p ** (e - 1) * (p - 1)))
-        self.components: Tuple[_Component, ...] = tuple(comps)
-        self.orders: Tuple[int, ...] = tuple(c.order for c in comps)
-        self.phi = 1
-        for o in self.orders:
-            self.phi *= o
+        # the factors of (Z/d)* grouped by prime power p^e || d
+        self._parts = tuple(
+            (p, e, _prime_power_components(p, e)) for p, e in self.factorization.factors
+        )
+        self.components: Tuple[_Component, ...] = tuple(c for _, _, cs in self._parts for c in cs)
+        self.orders: Tuple[int, ...] = tuple(c.order for c in self.components)
+        self.phi = prod(self.orders)
         self.exponent = lcm(*self.orders) if self.orders else 1
-        self.roots = self._root_table(self.exponent)
 
-    @staticmethod
-    def _root_table(n: int) -> np.ndarray:
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """The exponent-th roots of unity, exact at the quarter turns; only
+        character values read them, so the transforms never build them."""
+        n = self.exponent
         roots = np.exp(2j * np.pi * np.arange(n) / n)
         roots[0] = 1.0
         if n % 2 == 0:
@@ -142,6 +198,13 @@ class CharacterGroup:
         residues = np.asarray(residues, dtype=np.int64)
         return [c.dlog[residues % c.modulus] for c in self.components]
 
+    def _check_units(self, residues: np.ndarray, logs: Sequence[np.ndarray]) -> None:
+        """Raise unless every residue is a unit mod d, from its logs: a table
+        gives -1 off the units of its p^f, and 2 || d has no table, so there
+        an even residue is caught by its parity."""
+        if any(np.any(lv < 0) for lv in logs) or (self.d % 4 == 2 and np.any(residues % 2 == 0)):
+            raise ValueError(f"transform needs unit residues mod {self.d}")
+
     def transform(self, residues: np.ndarray, values: np.ndarray) -> np.ndarray:
         """sum_a conj(chi(a)) v_a for every chi, on the exponent grid of shape `orders`.
 
@@ -150,28 +213,51 @@ class CharacterGroup:
         for DirichletCharacter(self, m).
         """
         residues = np.asarray(residues, dtype=np.int64)
-        if np.any(np.gcd(residues, self.d) != 1):
-            raise ValueError(f"transform needs unit residues mod {self.d}")
-        flat = np.zeros(residues.size, dtype=np.int64)
-        for o, lv in zip(self.orders, self.log_vectors(residues)):
-            flat = flat * o + lv
-        grid = np.bincount(flat, weights=values, minlength=self.phi)
-        return np.fft.fftn(grid.reshape(self.orders))
+        logs = self.log_vectors(residues)
+        self._check_units(residues, logs)
+        return _fourier(self.orders, logs, residues.size, values)
+
+    def primitive_powers(self, residues: np.ndarray, values: np.ndarray) -> Dict[int, np.ndarray]:
+        """|sum_a conj(chi(a)) v_a|^2 for the primitive chi mod each q | d, q > 1.
+
+        Maps q, ascending, to the squares of CharacterGroup(q).transform at
+        its entries of conductor q, in grid order, bit for bit: the factors
+        mod every p^f | d, with the generators CharacterGroup(p^f) uses, take
+        the logs of the residues once, and each q takes one FFT over its own.
+        q = 2 (mod 4) has no primitive character and is left out.
+        """
+        residues = np.asarray(residues, dtype=np.int64)
+        # per p^e || d, one level per f = 0..e: (p^f, orders, logs, primitive mask)
+        levels = []
+        for p, e, comps in self._parts:
+            level = [(1, (), [], _is_primitive(p, 0, []))]
+            for f in range(2 if p == 2 else 1, e + 1):  # no primitive character mod 2
+                cs = comps if f == e else _prime_power_components(p, f)
+                logs = [c.dlog[residues % c.modulus] for c in cs]
+                level.append((p**f, tuple(c.order for c in cs), logs, _is_primitive(p, f, cs)))
+            levels.append(level)
+        self._check_units(residues, [lv for level in levels for part in level for lv in part[2]])
+        out = {}
+        for choice in itertools.product(*levels):
+            q = prod(part[0] for part in choice)
+            if q == 1:
+                continue
+            _, orders, logs, masks = zip(*choice)
+            flat_logs = [lv for part in logs for lv in part]
+            power = np.abs(_fourier(sum(orders, ()), flat_logs, residues.size, values)) ** 2
+            out[q] = power[_outer_and(masks)]
+        return dict(sorted(out.items()))
 
     @cached_property
     def conductors(self) -> np.ndarray:
-        """Conductor of every character, on the exponent grid of shape `orders`.
+        """Conductor of every character, on the exponent grid of shape `orders`."""
+        return _conductor_grid(self.components)
 
-        A character of order o > 1 on the factor mod p^e needs p * gcd(o, p^e),
-        twice that on the <5> factor of (Z/2^e)*, and the conductor is the lcm
-        over the factors; the tests check it against the minimal-f definition.
-        """
-        needs = []
-        for c in self.components:
-            o = c.order // np.gcd(c.order, np.arange(c.order))
-            twice = 2 if c.p == 2 and c.generator == 5 else 1
-            needs.append(np.where(o > 1, twice * c.p * np.gcd(o, c.modulus), 1))
-        return reduce(np.lcm.outer, needs, np.ones((), dtype=np.int64))
+    @cached_property
+    def primitive(self) -> np.ndarray:
+        """Whether each character is primitive, on the exponent grid: the
+        outer AND over p^e || d of the conductor's p-part being p^e."""
+        return _outer_and(_is_primitive(p, e, cs) for p, e, cs in self._parts)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"CharacterGroup(d={self.d}, orders={self.orders})"
@@ -218,7 +304,7 @@ class DirichletCharacter:
 
     @property
     def is_primitive(self) -> bool:
-        return conductor(self) == self.group.d
+        return bool(self.group.primitive[self.exponents])
 
     def order(self) -> int:
         out = 1

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tauvar.arith import divisors, euler_phi, phi_star, units
+from tauvar.arith import divisors, euler_phi, factorize, phi_star, units
 from tauvar.characters import (
     CharacterGroup,
     conductor,
@@ -65,6 +65,61 @@ def test_dlog_round_trip():
             for a in range(1, pe, 2):
                 s, t = int(minus.dlog[a]), int(five.dlog[a])
                 assert (pow(pe - 1, s, pe) * pow(5, t, pe)) % pe == a
+
+
+def loop_dlog(generator, order, modulus):
+    """Reference: the table filled one power at a time."""
+    dlog = np.full(modulus, -1, dtype=np.int64)
+    a = 1
+    for i in range(order):
+        dlog[a] = i
+        a = a * generator % modulus
+    return dlog
+
+
+@pytest.mark.parametrize("modulus", [4, 8, 49, 2**19, 3**11, 65537])
+def test_dlog_tables_equal_the_power_loop(modulus):
+    # moduli whose orders span one block or more of the baby-step table
+    comps = CharacterGroup(modulus).components
+    if modulus % 2 or modulus == 4:
+        (c,) = comps
+        assert np.array_equal(c.dlog, loop_dlog(c.generator, c.order, modulus))
+    else:
+        minus, five = comps
+        t = loop_dlog(5, five.order, modulus)
+        t[modulus - np.flatnonzero(t >= 0)] = t[t >= 0]
+        assert np.array_equal(five.dlog, t)
+        assert np.array_equal(minus.dlog, np.where(t >= 0, np.arange(modulus) % 4 // 2, -1))
+
+
+@pytest.mark.parametrize("modulus", [2**20, 3**13, 10007, 9999991])
+def test_dlog_tables_at_large_moduli(modulus):
+    # The tables come from blocks of a power table; beyond one block they
+    # must still be exact: a permutation of range(order) on the units, -1 off
+    # them, and each log raising the generator back to its residue.
+    (p, e), = factorize(modulus).factors
+    comps = CharacterGroup(modulus).components
+    off_units = np.arange(0, modulus, p)
+    for c in comps:
+        assert np.all(c.dlog[off_units] == -1)
+        assert np.count_nonzero(c.dlog < 0) == off_units.size
+    sample = np.random.default_rng(29).integers(1, modulus, size=400)
+    sample = sample[sample % p != 0]
+    if p == 2:
+        # (-1, 5) jointly: a = (-1)^s 5^t, each (s, t) taken by one odd a
+        minus, five = comps
+        joint = minus.dlog * five.order + five.dlog
+        counts = np.bincount(joint[1::2], minlength=2 * five.order)
+        assert counts.size == 2 * five.order and np.all(counts == 1)
+        for a in sample.tolist():
+            s, t = int(minus.dlog[a]), int(five.dlog[a])
+            assert pow(modulus - 1, s, modulus) * pow(5, t, modulus) % modulus == a
+    else:
+        (c,) = comps
+        counts = np.bincount(c.dlog[c.dlog >= 0], minlength=c.order)
+        assert counts.size == c.order and np.all(counts == 1)
+        for a in sample.tolist():
+            assert pow(c.generator, int(c.dlog[a]), modulus) == a
 
 
 def test_enumeration_counts():
@@ -156,6 +211,43 @@ def test_transform_matches_character_sums():
         check(q, units(60) % q)
     with pytest.raises(ValueError, match="unit residues"):
         CharacterGroup(12).transform(np.array([1, 4]), np.ones(2))
+    # The unit check reads the log tables: an even residue has no table to
+    # miss when 2 || d, and a multiple of an odd prime p | d misses p's.
+    # Unit residues >= d are reduced, not rejected.
+    for d in (2, 10, 2 * 1009, 12, 45, 2520):
+        g = CharacterGroup(d)
+        for b in [p for p, _ in factorize(d).factors] + [d, 3 * d]:
+            with pytest.raises(ValueError, match="unit residues"):
+                g.transform(np.array([1, b + d]), np.ones(2))
+        us = units(d)
+        v = rng.standard_normal(us.size)
+        assert np.array_equal(g.transform(us + 7 * d, v), g.transform(us, v))
+
+
+def test_primitive_mask_matches_conductors():
+    # outer AND of one mask per prime power, against the lcm conductor grid
+    for q in sorted(set(range(1, 501)) | set(divisors(27720))):
+        g = CharacterGroup(q)
+        assert np.array_equal(g.primitive, g.conductors == q), q
+        assert np.count_nonzero(g.primitive) == phi_star(q)
+
+
+def test_primitive_powers_match_per_q_groups():
+    # One group mod d serves every q | d: the same squares, bit for bit, as
+    # a fresh CharacterGroup(q) transform masked to conductor q.
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 4, 12, 60, 2**10, 3**7, 27720):
+        us = units(d)
+        v = rng.standard_normal(us.size)
+        got = CharacterGroup(d).primitive_powers(us, v)
+        assert list(got) == [q for q in divisors(d)[1:] if q % 4 != 2]
+        for q, power in got.items():
+            g = CharacterGroup(q)
+            want = np.abs(g.transform(us % q, v)) ** 2
+            assert np.array_equal(power, want[g.conductors == q]), (d, q)
+    for d, b in ((10, 4), (12, 9), (45, 10)):
+        with pytest.raises(ValueError, match="unit residues"):
+            CharacterGroup(d).primitive_powers(np.array([1, b]), np.ones(2))
 
 
 def test_induction_bijection_small():

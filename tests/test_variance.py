@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tauvar import constants, variance
-from tauvar.arith import DEFAULT_SEGMENT_SIZE, euler_phi, tau_k_of, tau_k_segment, units
+from tauvar.arith import DEFAULT_SEGMENT_SIZE, divisors, euler_phi, tau_k_of, tau_k_segment, units
+from tauvar.characters import CharacterGroup
 from tauvar.constants import a_k_d, gamma_eval, gamma_k_simple
 from tauvar.variance import (
+    CUTOFFS,
     SIEVE_BUDGET,
     _segment_task,
     compute_class_sums,
@@ -134,6 +136,26 @@ def test_prime_modulus_primitive_equals_characters():
         v_chr = variance_characters(k, d, 500.0, "sharp", class_sums=cs)
         v_prm = variance_primitive(k, d, 500.0, "sharp", class_sums=cs)
         assert abs(v_chr - v_prm) <= 1e-12 * max(1.0, v_chr)
+
+
+def per_q_primitive_variance(cs):
+    """Oracle: the primitive route with one fresh CharacterGroup(q) per q | d,
+    its transform of the deviations folded mod q masked to conductor q."""
+    dev = cs.sums - cs.total / cs.sums.size
+    total = 0.0
+    for q in divisors(cs.d)[1:]:
+        group = CharacterGroup(q)
+        power = np.abs(group.transform(cs.units % q, dev)) ** 2
+        total += float(np.sum(power[group.conductors == q]))
+    return total / cs.sums.size
+
+
+@pytest.mark.parametrize("cutoff", CUTOFFS)
+@pytest.mark.parametrize("d", [1, 2, 4, 8, 10, 12, 60, 210, 1009, 2520, 27720, 2**10, 3**7])
+def test_primitive_route_matches_per_q_groups_bit_for_bit(d, cutoff):
+    x = 300.0 + d**1.2
+    cs = compute_class_sums(2, d, x, cutoff)
+    assert variance_primitive(2, d, x, cutoff, class_sums=cs) == per_q_primitive_variance(cs)
 
 
 def test_class_sums_deterministic_across_workers():
