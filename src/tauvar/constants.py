@@ -12,9 +12,13 @@ Pieces:
 - the moment constants g_k = (k^2)! prod_{j<k} j!/(j+k)! and the exact
   rational check k^2! int_0^k gamma_k = g_k for k <= 3.
 
-All rational arithmetic is exact (fractions.Fraction); Monte Carlo uses a
-counter-based Philox generator keyed by (seed, chunk) so results are
-bit-reproducible for any worker partition.
+All rational arithmetic is exact (fractions.Fraction).  Monte Carlo splits
+the strata into chunks of about 2^21 coordinates, each drawn from a Philox
+stream keyed by (seed, chunk index), so (k, c, samples, seed) fix every bit.
+A chunk is evaluated in blocks of about 2^14 points whose arrays fit one
+core's L2; blocks read the chunk's stream in order, and each cell's mean and
+variance land in per-chunk arrays that are summed once per chunk, so the
+block size changes no bit and no array grows with the sample count.
 """
 
 from __future__ import annotations
@@ -22,12 +26,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .arith import _check_k, divisors, euler_phi, factorize, phi_star, primes_upto
+from .arith import _L2, _check_k, divisors, euler_phi, factorize, phi_star, primes_upto
 from .specfun import barnes_g
 
 __all__ = [
@@ -52,6 +57,9 @@ __all__ = [
 
 _MC_MIN_SAMPLES = 10**4
 _MC_MAX_K = 5
+# Points per block of gamma_k_mc, 2^14: a block's float64 arrays, about
+# 2k + 4 of them, fit the sieve's budget of one core's L2.
+_MC_BLOCK = _L2 // 128
 _FACT8 = factorial(8)
 
 
@@ -255,10 +263,11 @@ def _check_simple_domain(k: int, c: float) -> None:
 
 def _vandermonde_sq(w: Sequence[np.ndarray]) -> np.ndarray:
     """prod_{i<j} (w_i - w_j)^2 over the coordinate arrays w_0, ..., w_(k-1)."""
-    d = np.ones(w[0].shape, dtype=np.float64)
-    for i in range(len(w)):
-        for j in range(i + 1, len(w)):
-            d *= w[i] - w[j]
+    pairs = combinations(w, 2)
+    wi, wj = next(pairs)
+    d = wi - wj
+    for wi, wj in pairs:
+        d *= wi - wj
     return d * d
 
 
@@ -292,8 +301,8 @@ def check_gamma_domain(k: int, c: float, method: str, samples: int, seed: int) -
             return  # gamma_1 = 1 on (0, 1) takes no samples
         if samples < _MC_MIN_SAMPLES:
             raise ValueError(f"samples = {samples} below the floor {_MC_MIN_SAMPLES}")
-        if seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed = {seed} outside the Philox key range 0..2^64 - 1")
 
 
 def gamma_eval(
@@ -317,8 +326,11 @@ def gamma_k_mc(k: int, c: float, samples: int, seed: int) -> ConstantValue:
     Sampling is uniform per cell of an m^(k-1) grid (m chosen so cells hold
     ~256 points), which keeps the estimator unbiased while suppressing the
     indicator-boundary variance; the reported standard error is the exact
-    stratified-sampling formula.  Chunks of cells are generated by a Philox
-    stream keyed (seed, chunk), so any worker partition reproduces bitwise.
+    stratified-sampling formula.  The chunk layout (about 2^21 coordinates
+    per chunk) and each chunk's Philox key (seed, chunk index) are fixed by
+    (k, samples, seed); blocks of about _MC_BLOCK points read each chunk's
+    stream in order, so the result is bit-reproducible and the memory is
+    bounded whatever the sample count.
     """
     check_gamma_domain(k, c, "mc", samples, seed)
     if k == 1:
@@ -330,29 +342,36 @@ def gamma_k_mc(k: int, c: float, samples: int, seed: int) -> ConstantValue:
     ncells = m**dim
     n_c = max(2, -(-samples // ncells))
     cells_chunk = max(1, (1 << 21) // (n_c * k))
+    cells_block = max(1, _MC_BLOCK // n_c)
     mean_acc = 0.0
     var_acc = 0.0
     n_chunks = 0
     for start in range(0, ncells, cells_chunk):
         stop = min(start + cells_chunk, ncells)
-        nc = stop - start
         rng = np.random.Generator(
             np.random.Philox(key=(np.uint64(seed), np.uint64(n_chunks)))
         )
-        u = rng.random((nc, n_c, dim))
-        corner = np.empty((nc, dim), dtype=np.float64)
-        rem = np.arange(start, stop, dtype=np.int64)
-        for axis in range(dim - 1, -1, -1):
-            corner[:, axis] = rem % m
-            rem = rem // m
-        pts = (corner[:, None, :] + u) / m
-        w_last = c - pts.sum(axis=2)
-        ok = (w_last >= 0.0) & (w_last <= 1.0)
-        # the columns of pts as views, so no (cells, points, k) copy is made
-        w = [pts[..., axis] for axis in range(dim)] + [w_last]
-        y = np.where(ok, _vandermonde_sq(w), 0.0)
-        mean_acc += float(y.mean(axis=1).sum())
-        var_acc += float((y.var(axis=1, ddof=1) / n_c).sum())
+        # per-cell means and variances, summed once per chunk
+        means = np.empty(stop - start)
+        variances = np.empty(stop - start)
+        for lo in range(start, stop, cells_block):
+            hi = min(lo + cells_block, stop)
+            u = rng.random((hi - lo, n_c, dim))
+            # one contiguous array per axis; axis dim - 1 is the cell's lowest digit
+            cell = np.arange(lo, hi)[:, None]
+            w = [
+                ((cell // m ** (dim - 1 - axis) % m).astype(np.float64) + u[..., axis]) / m
+                for axis in range(dim)
+            ]
+            # added left to right: the order is part of the estimator's bits
+            w_last = c - sum(w[1:], w[0])
+            # y = d * d >= +0, so times the 0/1 indicator it is +0.0 off the slice
+            y = _vandermonde_sq(w + [w_last])
+            y *= (w_last >= 0.0) & (w_last <= 1.0)
+            y.mean(axis=1, out=means[lo - start : hi - start])
+            y.var(axis=1, ddof=1, out=variances[lo - start : hi - start])
+        mean_acc += float(means.sum())
+        var_acc += float((variances / n_c).sum())
         n_chunks += 1
     value = norm * mean_acc / ncells
     stderr = norm * math.sqrt(var_acc) / ncells

@@ -117,6 +117,15 @@ def test_gamma_subcommand(capsys):
     assert data["method"] == "monte-carlo" and data["params"]["seed"] == 9
 
 
+def test_gamma_seed_beyond_uint64_exit_code(capsys):
+    code, out, err = run_cli(
+        capsys, "gamma", "--k", "3", "--c", "2.5", "--gamma-method", "mc",
+        "--seed", "18446744073709551616",
+    )
+    assert code == 2 and out == ""
+    assert "error: seed = 18446744073709551616 outside the Philox key range 0..2^64 - 1" in err
+
+
 def test_gamma_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "gamma", "--k", "3", "--c", "1.5")
     assert code == 2

@@ -1,6 +1,7 @@
 """Euler-product constants, gamma_k evaluators, moment identities."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from tauvar.constants import (
+    _MC_BLOCK,
     GAMMA3_PIECEWISE,
     a_k_d,
     a_k_value,
@@ -20,6 +22,7 @@ from tauvar.constants import (
     local_factor,
     local_factor_series,
 )
+from tauvar.specfun import barnes_g
 
 
 def test_local_factor_examples():
@@ -185,6 +188,106 @@ def test_gamma_k_mc_validation():
         gamma_k_mc(6, 2.5, 10**5, seed=1)  # k out of range
     with pytest.raises(ValueError):
         gamma_k_mc(3, 3.5, 10**5, seed=1)  # c outside (0, k)
+
+
+def test_gamma_k_mc_seed_is_a_philox_key():
+    # the seed is one uint64 word of the Philox key; 2^64 used to pass the
+    # domain rule and then overflow in np.uint64
+    for seed in (-1, 2**64, 2**70):
+        with pytest.raises(ValueError, match=r"outside the Philox key range 0\.\.2\^64 - 1"):
+            gamma_k_mc(3, 2.5, 10**4, seed)
+        with pytest.raises(ValueError, match="Philox key range"):
+            gamma_eval(3, 2.5, "mc", mc_samples=10**4, mc_seed=seed)
+    top = gamma_k_mc(3, 2.5, 10**4, 2**64 - 1)
+    assert top.params["seed"] == 2**64 - 1 and top.value > 0.0
+
+
+def _vandermonde_sq_from_ones(w):
+    d = np.ones(w[0].shape, dtype=np.float64)
+    for i in range(len(w)):
+        for j in range(i + 1, len(w)):
+            d *= w[i] - w[j]
+    return d * d
+
+
+def _gamma_k_mc_whole_chunks(k, c, samples, seed):
+    """gamma_k_mc's loop before blocks: every chunk's (cells, points, dim)
+    arrays at once, the Vandermonde product started from ones."""
+    dim = k - 1
+    norm = 1.0 / (factorial(k) * barnes_g(k + 1) ** 2)
+    m = max(1, int(round((samples / 256.0) ** (1.0 / dim))))
+    ncells = m**dim
+    n_c = max(2, -(-samples // ncells))
+    cells_chunk = max(1, (1 << 21) // (n_c * k))
+    mean_acc = 0.0
+    var_acc = 0.0
+    n_chunks = 0
+    for start in range(0, ncells, cells_chunk):
+        stop = min(start + cells_chunk, ncells)
+        nc = stop - start
+        rng = np.random.Generator(
+            np.random.Philox(key=(np.uint64(seed), np.uint64(n_chunks)))
+        )
+        u = rng.random((nc, n_c, dim))
+        corner = np.empty((nc, dim), dtype=np.float64)
+        rem = np.arange(start, stop, dtype=np.int64)
+        for axis in range(dim - 1, -1, -1):
+            corner[:, axis] = rem % m
+            rem = rem // m
+        pts = (corner[:, None, :] + u) / m
+        w_last = c - pts.sum(axis=2)
+        ok = (w_last >= 0.0) & (w_last <= 1.0)
+        w = [pts[..., axis] for axis in range(dim)] + [w_last]
+        y = np.where(ok, _vandermonde_sq_from_ones(w), 0.0)
+        mean_acc += float(y.mean(axis=1).sum())
+        var_acc += float((y.var(axis=1, ddof=1) / n_c).sum())
+        n_chunks += 1
+    params = {
+        "samples": ncells * n_c,
+        "requested": samples,
+        "seed": seed,
+        "strata_per_dim": m,
+        "chunks": n_chunks,
+    }
+    return norm * mean_acc / ncells, norm * math.sqrt(var_acc) / ncells, params
+
+
+def test_gamma_k_mc_blocks_match_whole_chunks_bit_for_bit():
+    # every (k, samples, seed) once; c walks the branches [j, j + 1) of
+    # gamma_k, so each k meets each of its branches
+    layouts = set()
+    for k in range(2, 6):
+        for i, samples in enumerate((10**4, 12345, 3 * 10**5, 10**6)):
+            for s, seed in enumerate((1, 2**64 - 1)):
+                c = (2 * i + s) % k + (0.3, 0.7)[s]
+                value, err, params = _gamma_k_mc_whole_chunks(k, c, samples, seed)
+                est = gamma_k_mc(k, c, samples, seed)
+                assert est.value.hex() == value.hex(), (k, c, samples, seed)
+                assert est.error_estimate.hex() == err.hex(), (k, c, samples, seed)
+                assert est.params == params, (k, c, samples, seed)
+                ncells = params["strata_per_dim"] ** (k - 1)
+                n_c = params["samples"] // ncells
+                cells_chunk = (1 << 21) // (n_c * k)
+                layouts.add(
+                    (ncells % cells_chunk != 0 and params["chunks"] > 1,
+                     cells_chunk % max(1, _MC_BLOCK // n_c) != 0)
+                )
+    # some case ends on a short chunk, and some chunk ends on a short block
+    assert any(short for short, _ in layouts) and any(ragged for _, ragged in layouts)
+
+
+def test_gamma_k_mc_memory_is_bounded():
+    # blocks of about 2^14 points: the traced peak does not grow with samples
+    # (whole chunks took 38-52 MiB at 10^6 samples)
+    for k in range(2, 6):
+        for samples in (10**6, 10**7):
+            tracemalloc.start()
+            try:
+                gamma_k_mc(k, k - 0.5, samples, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * 2**20, (k, samples, peak)
 
 
 def test_g_k_values():

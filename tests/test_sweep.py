@@ -104,6 +104,12 @@ def test_config_validates_gamma_domain():
         parse_config("k = 6\nd = 4\nc = 5.5\ngamma_method = mc\n")
     with pytest.raises(ValueError, match="samples = 100 below the floor 10000"):
         parse_config("k = 2\nd = 4\nc = 1.5\ngamma_method = mc\nsamples = 100\n")
+    # a seed beyond the uint64 Philox key, which used to fail every mc point
+    with pytest.raises(ValueError, match=r"seed = 18446744073709551616 outside the Philox key range"):
+        parse_config(
+            "k = 3\nd = 7\nc = 2.5\ngamma_method = mc\nsamples = 10000\n"
+            "seed = 18446744073709551616\n"
+        )
     # likewise a_k's truncation floor
     with pytest.raises(ValueError, match="prime_bound must be >= 1000, got 10"):
         parse_config("k = 2\nd = 4\nc = 1.5\nprime_bound = 10\n")
