@@ -169,10 +169,15 @@ def divisors(n: int) -> List[int]:
     return sorted(ds)
 
 
-def units(d: int) -> np.ndarray:
-    """Sorted unit residues mod d (for d = 1 this is [0], the class of every n)."""
+def _check_modulus(d: int) -> None:
+    """The one modulus rule of units, character groups, variance points and a_k(d)."""
     if d < 1:
         raise ValueError(f"modulus must be >= 1, got {d}")
+
+
+def units(d: int) -> np.ndarray:
+    """Sorted unit residues mod d (for d = 1 this is [0], the class of every n)."""
+    _check_modulus(d)
     a = np.arange(d, dtype=np.int64)
     return a[np.gcd(a, d) == 1] if d > 1 else a
 

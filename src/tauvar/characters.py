@@ -29,7 +29,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .arith import Factorization, divisors, euler_phi, factorize, moebius, phi_star, units
+from .arith import Factorization, _check_modulus, divisors, euler_phi, factorize, moebius, phi_star, units
 
 __all__ = [
     "CharacterGroup",
@@ -161,8 +161,7 @@ class CharacterGroup:
     """The character group mod d with fixed, reproducible generator choices."""
 
     def __init__(self, d: int):
-        if d < 1:
-            raise ValueError(f"modulus must be >= 1, got {d}")
+        _check_modulus(d)
         if d > MAX_MODULUS:
             raise ValueError(
                 f"modulus {d} exceeds the discrete-log table bound {MAX_MODULUS}; "

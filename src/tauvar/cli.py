@@ -43,7 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_const = sub.add_parser("constants", help="a_k, a_k(d) and g_k")
     p_const.add_argument("--k", type=int, required=True)
     p_const.add_argument("--d", type=int, default=None)
-    p_const.add_argument("--prime-bound", type=int, default=10**6)
 
     p_gamma = sub.add_parser("gamma", help="gamma_k(c) by the chosen method")
     p_gamma.add_argument("--k", type=int, required=True)
@@ -60,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_var.add_argument("--gamma-method", choices=GAMMA_METHODS, default="simple")
     p_var.add_argument("--samples", type=int, default=10**6)
     p_var.add_argument("--seed", type=int, default=1)
-    p_var.add_argument("--prime-bound", type=int, default=10**6)
     p_var.add_argument("--workers", type=int, default=1)
     p_var.add_argument("--out", type=str, default=None, help="append the JSON record to a file")
 
@@ -97,16 +95,16 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    ak = a_k_value(args.k, args.prime_bound)
+    ak = a_k_value(args.k)
     out = {
         "k": args.k,
         "a_k": ak.value,
         "a_k_error": ak.error_estimate,
-        "prime_bound": args.prime_bound,
+        "prime_bound": ak.params["prime_bound"],
         "g_k": str(g_k(args.k)) if args.k <= 10 else None,
     }
     if args.d is not None:
-        akd = a_k_d(args.k, args.d, args.prime_bound)
+        akd = a_k_d(args.k, args.d)
         out["d"] = args.d
         out["a_k_d"] = akd.value
         out["a_k_d_error"] = akd.error_estimate
@@ -139,7 +137,6 @@ def _cmd_variance(args) -> int:
         args.c,
         cutoff=args.cutoff,
         gamma_method=args.gamma_method,
-        prime_bound=args.prime_bound,
         mc_samples=args.samples,
         mc_seed=args.seed,
         workers=args.workers,

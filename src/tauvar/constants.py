@@ -32,7 +32,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .arith import _L2, _check_k, divisors, euler_phi, factorize, phi_star, primes_upto
+from .arith import _L2, _check_k, _check_modulus, divisors, euler_phi, factorize, phi_star, primes_upto
 from .specfun import barnes_g
 
 __all__ = [
@@ -42,19 +42,24 @@ __all__ = [
     "GAMMA3_PIECEWISE",
     "local_factor",
     "local_factor_series",
+    "PRIME_BOUND",
     "a_k_value",
     "a_k_d",
     "gamma_k_simple",
     "GAMMA_METHODS",
     "check_gamma_domain",
     "gamma_eval",
-    "check_prime_bound",
     "gamma_k_mc",
     "g_k",
     "gamma_integral_check",
     "convolution_compare",
 ]
 
+# The one truncation of a_k's Euler product that a_k(d), the main term,
+# experiment(), sweeps and the CLI use; VarianceReport.prime_bound echoes it.
+PRIME_BOUND = 10**6
+# local_factor_series stops once its tail bound is this share of the sum.
+_SERIES_REL_TAIL = 1e-15
 _MC_MIN_SAMPLES = 10**4
 _MC_MAX_K = 5
 # Points per block of gamma_k_mc, 2^14: a block's float64 arrays, about
@@ -101,12 +106,12 @@ def local_factor(k: int, p: int, s: float = 1.0, exact: bool = False):
     return (1.0 - 1.0 / ps) ** (-(2 * k - 1)) * poly
 
 
-def local_factor_series(k: int, p: int, s: float = 1.0, rel_tail: float = 1e-15) -> float:
-    """Direct series sum_j tau_k(p^j)^2 p^(-js), truncated at relative tail rel_tail.
+def local_factor_series(k: int, p: int, s: float = 1.0) -> float:
+    """Direct series sum_j tau_k(p^j)^2 p^(-js), truncated at a relative tail.
 
     tau_k(p^j) = C(k+j-1, k-1) grows polynomially in j, so the tail beyond j
-    is below a geometric bound; truncation stops once that bound is a rel_tail
-    fraction of the partial sum.
+    is below a geometric bound; truncation stops once that bound is a
+    _SERIES_REL_TAIL fraction of the partial sum.
     """
     _check_k(k)
     _require_prime(p)
@@ -121,51 +126,44 @@ def local_factor_series(k: int, p: int, s: float = 1.0, rel_tail: float = 1e-15)
         growth = ((k + j) / (j + 1)) ** 2
         if growth < ps * 0.999 and j > 2 * k:
             tail_bound = term * (growth / ps) / (1.0 - growth / ps)
-            if tail_bound < rel_tail * total:
+            if tail_bound < _SERIES_REL_TAIL * total:
                 return total
         j += 1
 
 
-def _ak_log_sum(k: int, prime_bound: int) -> float:
+def a_k_value(k: int, prime_bound: int = PRIME_BOUND) -> ConstantValue:
+    """a_k = prod_p (1-1/p)^((k-1)^2) sum_{j<k} C(k-1,j)^2 p^(-j), over p <= prime_bound.
+
+    Each omitted factor is 1 + O(k^4 / p^2); the reported error bounds the
+    log of the omitted product by k^4 * sum_{p > bound} p^-2 <= k^4 / bound.
+    Every other caller takes PRIME_BOUND; the verify suites and tests vary it.
+    """
+    _check_k(k)
+    if prime_bound < 10**3:
+        raise ValueError(f"prime_bound must be >= 1000, got {prime_bound}")
+    if k == 1:
+        return ConstantValue(1.0, "euler-product", 0.0, {"prime_bound": prime_bound})
     ps = primes_upto(prime_bound).astype(np.float64)
     logs = (k - 1) ** 2 * np.log1p(-1.0 / ps)
     poly = np.zeros_like(ps)
     for j in range(k):
         poly += comb(k - 1, j) ** 2 / ps**j
     logs = logs + np.log(poly)
-    return float(logs.sum())
-
-
-def a_k_value(k: int, prime_bound: int = 10**6) -> ConstantValue:
-    """a_k = prod_p (1-1/p)^((k-1)^2) sum_{j<k} C(k-1,j)^2 p^(-j), truncated.
-
-    Each omitted factor is 1 + O(k^4 / p^2); the reported error bounds the
-    log of the omitted product by k^4 * sum_{p > bound} p^-2 <= k^4 / bound.
-    """
-    _check_k(k)
-    check_prime_bound(prime_bound)
-    if k == 1:
-        return ConstantValue(1.0, "euler-product", 0.0, {"prime_bound": prime_bound})
-    value = math.exp(_ak_log_sum(k, prime_bound))
+    value = math.exp(float(logs.sum()))
     tail_log = float(k) ** 4 / prime_bound
     err = value * math.expm1(tail_log)
     return ConstantValue(value, "euler-product", err, {"prime_bound": prime_bound})
 
 
-def check_prime_bound(prime_bound: int) -> None:
-    """Raise ValueError unless a_k_value accepts prime_bound; sweep configs check it early."""
-    if prime_bound < 10**3:
-        raise ValueError(f"prime_bound must be >= 1000, got {prime_bound}")
-
-
-def a_k_d(k: int, d: int, prime_bound: int = 10**6) -> ConstantValue:
+def a_k_d(k: int, d: int) -> ConstantValue:
     """a_k(d) = a_k / prod_{p | d} L_p(k): drop the Euler factors at p | d."""
-    return _drop_local_factors(a_k_value(k, prime_bound), k, d)
+    return _drop_local_factors(a_k_value(k), k, d)
 
 
 def _drop_local_factors(ak: ConstantValue, k: int, d: int) -> ConstantValue:
     """a_k(d) from an evaluated a_k, so callers that share a_k across d
-    (the sweep) divide out the same factors as a_k_d."""
+    (the sweep, convolution_compare) divide out the same factors as a_k_d."""
+    _check_modulus(d)
     scale = 1.0
     for p, _ in factorize(d).factors:
         scale /= local_factor(k, p)
@@ -297,6 +295,9 @@ def check_gamma_domain(k: int, c: float, method: str, samples: int, seed: int) -
             raise ValueError(f"k = {k} outside the Monte-Carlo range 1..{_MC_MAX_K}")
         if not (0.0 < c < float(k)):
             raise ValueError(f"c = {c} outside (0, {k})")
+        for name, value in (("samples", samples), ("seed", seed)):
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} = {value!r} is not an integer")
         if k == 1:
             return  # gamma_1 = 1 on (0, 1) takes no samples
         if samples < _MC_MIN_SAMPLES:
@@ -410,22 +411,22 @@ def gamma_integral_check(k: int) -> Fraction:
     return abs(factorial(k * k) * integral - g_k(k))
 
 
-def convolution_compare(
-    k: int, d: int, prime_bound: int = 10**6
-) -> Tuple[float, float, float]:
+def convolution_compare(k: int, d: int) -> Tuple[float, float, float]:
     """Both sides of the average (1/phi(d)) sum_{d=qr} phi_star(q) a_k(r) vs a_k(d).
 
     The two sides agree only asymptotically (the gap at prime d is of order
     1/d), so they are returned as (lhs, rhs, relative gap) with no equality
     assertion.
     """
-    if len(divisors(d)) > 10**4:
+    _check_modulus(d)
+    qs = divisors(d)
+    if len(qs) > 10**4:
         raise ValueError(f"d = {d} has too many divisors for the comparison")
+    ak = a_k_value(k)
     lhs = 0.0
-    for q in divisors(d):
-        r = d // q
-        lhs += phi_star(q) * a_k_d(k, r, prime_bound).value
+    for q in qs:
+        lhs += phi_star(q) * _drop_local_factors(ak, k, d // q).value
     lhs /= euler_phi(d)
-    rhs = a_k_d(k, d, prime_bound).value
+    rhs = _drop_local_factors(ak, k, d).value
     gap = abs(lhs - rhs) / abs(rhs)
     return lhs, rhs, gap

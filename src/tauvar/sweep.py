@@ -24,7 +24,6 @@ Configuration files are flat "key = value" text (diff-friendly provenance):
     c = 2.5                  # list of exponents, X = d^c
     cutoff = smooth          # sharp | smooth
     gamma_method = simple    # simple | piecewise | mc
-    prime_bound = 1000000    # Euler-product truncation for a_k
     samples = 1000000        # Monte-Carlo sample count (gamma_method = mc)
     seed = 1                 # Monte-Carlo seed
     workers = 1              # worker processes
@@ -46,7 +45,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from .arith import primes_upto
 from .constants import (
     ConstantValue, _check_gamma_method, _drop_local_factors, a_k_value, check_gamma_domain,
-    check_prime_bound, gamma_eval,
+    gamma_eval,
 )
 from .variance import VarianceReport, _check_point, _point_x, _report
 
@@ -87,7 +86,6 @@ class SweepConfig:
     c_list: Tuple[float, ...]
     cutoff: str = "smooth"
     gamma_method: str = "simple"
-    prime_bound: int = 10**6
     samples: int = 10**6
     seed: int = 1
     workers: int = 1
@@ -96,7 +94,6 @@ class SweepConfig:
     def __post_init__(self) -> None:
         _check_point(min(self.d_list, default=1), self.cutoff, self.workers)
         _check_gamma_method(self.gamma_method)
-        check_prime_bound(self.prime_bound)
         for k in self.k_list:
             for c in self.c_list:
                 check_gamma_domain(k, c, self.gamma_method, self.samples, self.seed)
@@ -130,7 +127,7 @@ _KEYS: Dict[str, Tuple[str, Callable[[str], object]]] = {
     "k": ("k_list", _list_of(int)),
     "d": ("d_list", _parse_d_spec),
     "c": ("c_list", _list_of(float)),
-    **{key: (key, int) for key in ("prime_bound", "samples", "seed", "workers")},
+    **{key: (key, int) for key in ("samples", "seed", "workers")},
     **{key: (key, str) for key in ("cutoff", "gamma_method", "out")},
 }
 
@@ -252,7 +249,7 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> SweepRe
         constants: Dict[tuple, Future] = {}
         for k, _, c in points:
             if ("a_k", k) not in constants:
-                constants[("a_k", k)] = submit(a_k_value, k, config.prime_bound)
+                constants[("a_k", k)] = submit(a_k_value, k)
             if ("gamma", k, c) not in constants:
                 constants[("gamma", k, c)] = submit(
                     gamma_eval, k, c, config.gamma_method,

@@ -39,7 +39,7 @@ import math
 import time
 from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -48,13 +48,14 @@ from ._version import __version__
 from .arith import (
     _L2,
     DEFAULT_SEGMENT_SIZE,
+    _check_modulus,
     _check_window,
     primes_upto,
     tau_k_segment,
     units,
 )
 from .characters import CharacterGroup
-from .constants import ConstantValue, a_k_d, gamma_eval
+from .constants import PRIME_BOUND, ConstantValue, a_k_d, gamma_eval
 from .weights import make_bump_weight
 
 __all__ = [
@@ -166,8 +167,7 @@ def _segment_task(args) -> np.ndarray:
 def _check_point(d: int, cutoff: str, workers: int) -> None:
     """The modulus, cutoff and worker-count rules, one message each, for
     class sums, experiment() and sweep configs alike."""
-    if d < 1:
-        raise ValueError(f"modulus must be >= 1, got {d}")
+    _check_modulus(d)
     if cutoff not in CUTOFFS:
         raise ValueError(f"cutoff must be {' or '.join(map(repr, CUTOFFS))}, got {cutoff!r}")
     if workers < 1:
@@ -337,13 +337,12 @@ def main_term(
     c: float,
     *,
     gamma_method: str = "simple",
-    prime_bound: int = 10**6,
     mc_samples: int = 10**6,
     mc_seed: int = 1,
 ) -> float:
     """The conjectural leading term a_k(d) gamma_k(c) d^c (log d)^(k^2 - 1)."""
     gamma = gamma_eval(k, c, gamma_method, mc_samples=mc_samples, mc_seed=mc_seed)
-    return _leading_term(k, d, float(d) ** c, a_k_d(k, d, prime_bound), gamma)
+    return _leading_term(k, d, float(d) ** c, a_k_d(k, d), gamma)
 
 
 def _leading_term(k: int, d: int, x: float, akd: ConstantValue, gamma: ConstantValue) -> float:
@@ -364,8 +363,9 @@ class VarianceReport:
     wall_time_s is the point's own time.  From experiment() it covers the
     whole call, constants included.  In a sweep, whose constants are
     evaluated once per distinct key and shared by the points (see sweep.py),
-    it leaves those shared constants out.  segment_size records the sieve
-    window, which every point takes from arith.DEFAULT_SEGMENT_SIZE.
+    it leaves those shared constants out.  prime_bound and segment_size are
+    fixed echoes of the library: a_k's Euler-product truncation,
+    constants.PRIME_BOUND, and the sieve window, arith.DEFAULT_SEGMENT_SIZE.
     """
 
     k: int
@@ -379,7 +379,7 @@ class VarianceReport:
     ratio: Optional[float]
     a_k_d_value: float
     a_k_d_error: float
-    prime_bound: int
+    prime_bound: int = field(default=PRIME_BOUND, init=False)
     gamma_method: str
     gamma_value: float
     gamma_error: float
@@ -399,7 +399,6 @@ def experiment(
     cutoff: str = "smooth",
     gamma_method: str = "simple",
     *,
-    prime_bound: int = 10**6,
     mc_samples: int = 10**6,
     mc_seed: int = 1,
     workers: int = 1,
@@ -412,7 +411,7 @@ def experiment(
     start = time.perf_counter()
     x = _point_x(d, c, cutoff, workers)
     gamma = gamma_eval(k, c, gamma_method, mc_samples=mc_samples, mc_seed=mc_seed)
-    akd = a_k_d(k, d, prime_bound)
+    akd = a_k_d(k, d)
     return _report(k, d, c, x, cutoff, gamma_method, akd, gamma, workers, start)
 
 
@@ -446,7 +445,6 @@ def _report(
         ratio=ratio,
         a_k_d_value=akd.value,
         a_k_d_error=akd.error_estimate,
-        prime_bound=akd.params["prime_bound"],
         gamma_method=gamma_method,
         gamma_value=gamma.value,
         gamma_error=gamma.error_estimate,

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, flags, exit codes."""
 
 import argparse
+import inspect
 import json
 
 import pytest
@@ -8,9 +9,9 @@ import pytest
 from tauvar import cli
 from tauvar.arith import tau_k_of, tau_k_segments
 from tauvar.cli import build_parser, main
-from tauvar.constants import GAMMA_METHODS
+from tauvar.constants import GAMMA_METHODS, PRIME_BOUND
 from tauvar.sweep import SweepConfig, read_records, run_sweep
-from tauvar.variance import CUTOFFS
+from tauvar.variance import CUTOFFS, experiment
 from tauvar.verify import SUITE_NAMES
 
 
@@ -91,15 +92,37 @@ def test_choice_flags_list_the_library_choices():
 
 
 def test_constants_json(capsys):
-    code, out, _ = run_cli(
-        capsys, "constants", "--k", "2", "--d", "3", "--prime-bound", "100000"
-    )
+    code, out, _ = run_cli(capsys, "constants", "--k", "2", "--d", "3")
     assert code == 0
     data = json.loads(out)
     assert data["k"] == 2 and data["d"] == 3
+    assert data["prime_bound"] == PRIME_BOUND
     assert data["g_k"] == "2"
     assert data["a_k"] == pytest.approx(0.6079, abs=1e-3)
     assert data["a_k_d"] == pytest.approx(data["a_k"] / 4.5, rel=1e-12)
+
+
+def test_prime_bound_is_no_option(capsys):
+    # a_k's Euler-product truncation is fixed at constants.PRIME_BOUND
+    for argv in (
+        ["constants", "--k", "2", "--prime-bound", "100000"],
+        ["variance", "--k", "2", "--d", "101", "--c", "1.5", "--prime-bound", "100000"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --prime-bound 100000" in capsys.readouterr().err
+
+
+def test_variance_options_are_experiment_parameters():
+    # every experiment() setting is one option and every option but --out one
+    # setting, so a knob dropped from one cannot linger in the other
+    [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for a in subparsers.choices["variance"]._actions} - {"help", "out"}
+    renamed = {"samples": "mc_samples", "seed": "mc_seed"}
+    assert {renamed.get(dest, dest) for dest in dests} == set(
+        inspect.signature(experiment).parameters
+    )
 
 
 def test_gamma_subcommand(capsys):

@@ -1,5 +1,6 @@
 """Euler-product constants, gamma_k evaluators, moment identities."""
 
+import inspect
 import math
 import tracemalloc
 from fractions import Fraction
@@ -8,9 +9,12 @@ from math import factorial
 import numpy as np
 import pytest
 
+import tauvar.constants
+from tauvar.arith import divisors, euler_phi, phi_star
 from tauvar.constants import (
     _MC_BLOCK,
     GAMMA3_PIECEWISE,
+    PRIME_BOUND,
     a_k_d,
     a_k_value,
     convolution_compare,
@@ -70,8 +74,14 @@ def test_a_k_tail_self_consistency():
 
 
 def test_a_k_value_rejects_small_bound():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="prime_bound must be >= 1000, got 100"):
         a_k_value(2, 100)
+
+
+def test_a_k_d_has_one_truncation():
+    assert "prime_bound" not in inspect.signature(a_k_d).parameters
+    assert a_k_d(3, 1009).params == {"prime_bound": PRIME_BOUND, "d": 1009}
+    assert a_k_value(3) == a_k_value(3, PRIME_BOUND)
 
 
 def test_a_k_d_examples():
@@ -188,6 +198,22 @@ def test_gamma_k_mc_validation():
         gamma_k_mc(6, 2.5, 10**5, seed=1)  # k out of range
     with pytest.raises(ValueError):
         gamma_k_mc(3, 3.5, 10**5, seed=1)  # c outside (0, k)
+
+
+def test_gamma_k_mc_needs_integer_samples_and_seed():
+    # a float seed used to sample with its integer part and record the float;
+    # a float sample count used to raise TypeError from range()
+    for samples, seed, message in (
+        (10**4, 1.5, "seed = 1.5 is not an integer"),
+        (1e4, 1, "samples = 10000.0 is not an integer"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            gamma_k_mc(3, 2.5, samples, seed)
+        with pytest.raises(ValueError, match=message):
+            gamma_eval(3, 2.5, "mc", mc_samples=samples, mc_seed=seed)
+        with pytest.raises(ValueError, match=message):
+            gamma_k_mc(1, 0.5, samples, seed)  # k = 1 records its seed too
+    assert gamma_k_mc(3, 2.5, np.int64(10**4), np.uint64(1)) == gamma_k_mc(3, 2.5, 10**4, 1)
 
 
 def test_gamma_k_mc_seed_is_a_philox_key():
@@ -318,6 +344,22 @@ def test_convolution_compare_trivial_and_hand_values():
     assert abs(lhs - expect) < 1e-15
     assert abs(rhs - a_k_d(2, 3).value) < 1e-15
     assert gap > 0.0
+
+
+def test_convolution_compare_evaluates_a_k_once(monkeypatch):
+    # it used to evaluate a_k once per divisor: 97 times at d = 27720
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return a_k_value(*args)
+
+    monkeypatch.setattr(tauvar.constants, "a_k_value", counted)
+    lhs, rhs, _ = convolution_compare(3, 27720)
+    assert calls == [(3,)]
+    a_k_d_of = {r: a_k_d(3, r).value for r in divisors(27720)}
+    want = sum(phi_star(q) * a_k_d_of[27720 // q] for q in divisors(27720)) / euler_phi(27720)
+    assert (lhs, rhs) == (want, a_k_d_of[27720])
 
 
 def test_convolution_gap_shrinks_along_primes():

@@ -27,7 +27,6 @@ d = 4,5
 c = 1.5
 cutoff = sharp
 gamma_method = simple
-prime_bound = 10000
 workers = 1
 """
 
@@ -38,7 +37,7 @@ def test_parse_config_round_trip(tmp_path):
     assert cfg.d_list == (4, 5)
     assert cfg.c_list == (1.5,)
     assert cfg.cutoff == "sharp"
-    assert cfg.prime_bound == 10000
+    assert cfg.workers == 1
     path = tmp_path / "sweep.cfg"
     path.write_text(GOOD_CONFIG)
     assert load_config(path) == cfg
@@ -110,8 +109,8 @@ def test_config_validates_gamma_domain():
             "k = 3\nd = 7\nc = 2.5\ngamma_method = mc\nsamples = 10000\n"
             "seed = 18446744073709551616\n"
         )
-    # likewise a_k's truncation floor
-    with pytest.raises(ValueError, match="prime_bound must be >= 1000, got 10"):
+    # a_k's Euler-product truncation is no config key, whatever its value
+    with pytest.raises(ValueError, match="config line 4: unknown key 'prime_bound'"):
         parse_config("k = 2\nd = 4\nc = 1.5\nprime_bound = 10\n")
     # and the simple evaluator's bound on k
     with pytest.raises(ValueError, match="k = 17 exceeds the supported bound 16"):
@@ -131,6 +130,21 @@ def test_config_rejects_nonpositive_segment_size_and_workers():
         with pytest.raises(ValueError, match="workers must be positive"):
             parse_config(f"k = 2\nd = 4\nc = 1.5\nworkers = {value}\n")
     assert parse_config("k = 2\nd = 4\nc = 1.5\nworkers = 1\n")
+
+
+def test_config_keys_are_the_config_fields():
+    # every setting besides the grid is one field and one key, so a knob
+    # dropped from one cannot linger in the other
+    grid = {"k_list", "d_list", "c_list"}
+    settings = set(SweepConfig.__dataclass_fields__) - grid
+    assert {name for name, _ in tauvar.sweep._KEYS.values()} - grid == settings
+    assert set(tauvar.sweep._KEYS) - {"k", "d", "c"} == settings
+
+
+def test_config_rejects_a_non_integer_seed():
+    # 1.5 used to pass the domain rule and sample with seed 1
+    with pytest.raises(ValueError, match=re.escape("seed = 1.5 is not an integer")):
+        SweepConfig(k_list=(3,), d_list=(7,), c_list=(2.5,), gamma_method="mc", seed=1.5)
 
 
 @pytest.mark.parametrize("field, value", [("cutoff", "Sharp"), ("workers", 0), ("d_list", (5, -3))])
@@ -258,10 +272,10 @@ def test_sweep_point_checks_its_range_before_factoring_d(tmp_path, monkeypatch):
         raise AssertionError("d was factored before the range check")
 
     monkeypatch.setattr(tauvar.sweep, "_drop_local_factors", never)
-    cfg = SweepConfig(k_list=(2,), d_list=(d,), c_list=(1.5,), cutoff="sharp", prime_bound=10**4)
+    cfg = SweepConfig(k_list=(2,), d_list=(d,), c_list=(1.5,), cutoff="sharp")
     res = run_sweep(cfg, out_dir=tmp_path)
     with pytest.raises(ValueError, match="exceeds the sieve budget") as direct:
-        experiment(2, d, 1.5, "sharp", prime_bound=10**4)
+        experiment(2, d, 1.5, "sharp")
     assert res.failures == [((2, d, 1.5), f"ValueError: {direct.value}")]
 
 
@@ -276,9 +290,7 @@ def test_serial_sweep_flushes_each_row_before_the_next_point(tmp_path, monkeypat
 
     monkeypatch.setattr(tauvar.sweep, "_run_point", run_point)
     monkeypatch.setattr(tauvar.sweep, "ProcessPoolExecutor", None)  # no process may start
-    cfg = SweepConfig(
-        k_list=(3,), d_list=(4, 5, 7, 8, 9, 11), c_list=(2.5,), prime_bound=10**4, workers=1
-    )
+    cfg = SweepConfig(k_list=(3,), d_list=(4, 5, 7, 8, 9, 11), c_list=(2.5,), workers=1)
     assert run_sweep(cfg, out_dir=tmp_path).ok
     assert rows_before == [0, 1, 2, 3, 4, 5]
 
@@ -296,14 +308,13 @@ METHOD_GRIDS = {
 def test_sweep_records_equal_experiment(tmp_path, method, workers):
     cfg = SweepConfig(
         d_list=(4, 12, 35), gamma_method=method, samples=10**4, seed=7,
-        prime_bound=10**4, workers=workers, **METHOD_GRIDS[method],
+        workers=workers, **METHOD_GRIDS[method],
     )
     res = run_sweep(cfg, out_dir=tmp_path)
     assert res.ok and len(res.records) == len(list(cfg.points()))
     for rec, (k, d, c) in zip(res.records, cfg.points()):
         want = experiment(
-            k, d, c, cfg.cutoff, method, prime_bound=cfg.prime_bound,
-            mc_samples=cfg.samples, mc_seed=cfg.seed,
+            k, d, c, cfg.cutoff, method, mc_samples=cfg.samples, mc_seed=cfg.seed,
         ).to_dict()
         got = rec.to_dict()
         del want["wall_time_s"], got["wall_time_s"]
@@ -314,7 +325,7 @@ def test_sweep_records_equal_experiment(tmp_path, method, workers):
 # 2 k x 3 d x 2 c points: 4 distinct gamma keys, 2 distinct a_k keys
 MC_GRID = SweepConfig(
     k_list=(2, 3), d_list=(4, 12, 35), c_list=(1.3, 1.7), gamma_method="mc",
-    samples=10**4, prime_bound=10**4,
+    samples=10**4,
 )
 
 

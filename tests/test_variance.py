@@ -452,6 +452,32 @@ def test_main_term_composition():
     assert abs(main_term(k, d, c) - want) < 1e-12 * want
 
 
+def test_modulus_rule_has_one_message():
+    # a_k_d(2, 0) and main_term(2, 0, 1.5) used to raise factorize's
+    # "n must be positive, got 0"
+    def message(fn, *args):
+        with pytest.raises(ValueError) as exc:
+            fn(*args)
+        return str(exc.value)
+
+    messages = {
+        message(units, 0),
+        message(CharacterGroup, 0),
+        message(experiment, 2, 0, 1.5),
+        message(main_term, 2, 0, 1.5),
+        message(a_k_d, 2, 0),
+        message(constants.convolution_compare, 2, 0),
+    }
+    assert messages == {"modulus must be >= 1, got 0"}
+
+
+def test_experiment_reports_the_fixed_truncation():
+    assert "prime_bound" not in inspect.signature(experiment).parameters
+    assert "prime_bound" not in inspect.signature(main_term).parameters
+    rep = experiment(2, 101, 1.5, "sharp")
+    assert rep.prime_bound == rep.to_dict()["prime_bound"] == constants.PRIME_BOUND
+
+
 def test_main_term_vanishes_at_right_endpoint():
     near = main_term(3, 101, 3.0 - 1e-9)
     assert near < 1e-60
