@@ -171,8 +171,8 @@ def divisors(n: int) -> List[int]:
 
 def _check_modulus(d: int) -> None:
     """The one modulus rule of units, character groups, variance points and a_k(d)."""
-    if d < 1:
-        raise ValueError(f"modulus must be >= 1, got {d}")
+    if not isinstance(d, (int, np.integer)) or d < 1:
+        raise ValueError(f"modulus must be >= 1 and an integer, got {d!r}")
 
 
 def units(d: int) -> np.ndarray:

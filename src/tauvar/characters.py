@@ -1,22 +1,20 @@
 """Dirichlet character groups via generator exponents and discrete logs.
 
-A character mod d is stored as an exponent vector against a fixed generator
-basis of (Z/d)*: one generator per odd prime power (the smallest primitive
-root), the residue 3 for modulus 4, and the pair (-1, 5) for 2^e with e >= 3.
-Values are roots of unity taken from a single precomputed table of the
-group-exponent order, so repeated-angle arithmetic never drifts.
+A character mod d is an exponent vector against a fixed generator basis of
+(Z/d)*: one generator per odd prime power (the smallest primitive root),
+the residue 3 for modulus 4, and the pair (-1, 5) for 2^e with e >= 3.
+`CharacterGroup` works on the grid of every exponent vector, of shape
+`orders`:
 
-Whole-group work runs on the grid of exponent vectors, of shape `orders`:
-`transform` gives sum_a conj(chi(a)) v_a for every chi by one FFT, and
-`conductors` holds every conductor as an lcm of per-factor rules.  One
-group mod d also serves every q | d: `primitive_powers` takes the logs of
-the residues mod each prime power p^f | d once and runs one FFT per q over
-them, keeping the characters of conductor q.
+- `values` gives chi(a) for every chi, read from one table of roots of
+  unity, so repeated-angle arithmetic never drifts;
+- `transform` gives sum_a conj(chi(a)) v_a for every chi by one FFT, and
+  `gauss_sums` every tau(chi) by one transform;
+- `parity`, `conductors` and `primitive` are grids of invariants;
+- `primitive_powers` serves every q | d from the one group mod d.
 
-Discrete-log tables are built per prime-power component at construction
-time, from blocks of a power table of the generator, which bounds
-usable moduli (10^7 by default) but makes evaluation a table lookup plus
-integer arithmetic.
+Discrete-log tables are built per prime-power factor at construction time,
+which bounds usable moduli (10^7 by default).
 """
 
 from __future__ import annotations
@@ -36,13 +34,10 @@ __all__ = [
     "DirichletCharacter",
     "enumerate_characters",
     "enumerate_primitive",
-    "conductor",
-    "gauss_sum",
     "primitive_orthogonality_sum",
 ]
 
 MAX_MODULUS = 10**7
-_GAUSS_MAX = 10**6
 
 # Baby steps per block of a discrete-log table's power table.
 _BABY = 1 << 16
@@ -147,13 +142,20 @@ def _outer_and(masks) -> np.ndarray:
     return reduce(np.logical_and.outer, masks, np.ones((), dtype=bool))
 
 
+def _logs(comps: Sequence[_Component], residues: np.ndarray) -> List[np.ndarray]:
+    """Per-factor discrete logs of the residues: -1 off the units of p^f."""
+    return [c.dlog[residues % c.modulus] for c in comps]
+
+
 def _fourier(orders: Tuple[int, ...], logs: Sequence[np.ndarray], n: int, values) -> np.ndarray:
     """sum_a conj(chi(a)) v_a on the exponent grid of shape `orders`, from the
-    per-factor logs of the n residues: one bincount, one FFT."""
+    per-factor logs of the n residues: one bincount (two for complex
+    values), one FFT."""
     flat = np.zeros(n, dtype=np.int64)
     for o, lv in zip(orders, logs):
         flat = flat * o + lv
-    grid = np.bincount(flat, weights=values, minlength=prod(orders))
+    scatter = lambda w: np.bincount(flat, weights=w, minlength=prod(orders))
+    grid = scatter(values.real) + 1j * scatter(values.imag) if np.iscomplexobj(values) else scatter(values)
     return np.fft.fftn(grid.reshape(orders))
 
 
@@ -192,27 +194,55 @@ class CharacterGroup:
             roots[3 * n // 4] = -1j
         return roots
 
-    def log_vectors(self, residues: np.ndarray) -> List[np.ndarray]:
-        """Per-component discrete logs of an array of unit residues mod d."""
-        residues = np.asarray(residues, dtype=np.int64)
-        return [c.dlog[residues % c.modulus] for c in self.components]
-
     def _check_units(self, residues: np.ndarray, logs: Sequence[np.ndarray]) -> None:
         """Raise unless every residue is a unit mod d, from its logs: a table
         gives -1 off the units of its p^f, and 2 || d has no table, so there
         an even residue is caught by its parity."""
         if any(np.any(lv < 0) for lv in logs) or (self.d % 4 == 2 and np.any(residues % 2 == 0)):
-            raise ValueError(f"transform needs unit residues mod {self.d}")
+            raise ValueError(f"characters need unit residues mod {self.d}")
+
+    def _evaluate(self, exponents: Sequence, residues: np.ndarray) -> np.ndarray:
+        """chi(a) from the root table at index sum_i m_i (exponent / o_i) log_i(a),
+        each exponent m_i broadcast against the logs of the unit residues."""
+        residues = np.asarray(residues, dtype=np.int64)
+        logs = _logs(self.components, residues)
+        self._check_units(residues, logs)
+        lam = self.exponent
+        idx = np.zeros(residues.shape, dtype=np.int64)
+        for m, c, lv in zip(exponents, self.components, logs):
+            idx = idx + m * (lam // c.order) * lv
+        return self.roots[idx % lam]
+
+    def values(self, residues: np.ndarray) -> np.ndarray:
+        """chi(a) for every chi on the exponent grid and every unit residue a,
+        of shape orders + (n,); residues >= d are reduced."""
+        ndim = len(self.orders)
+        grid = [np.arange(o).reshape((-1,) + (1,) * (ndim - i)) for i, o in enumerate(self.orders)]
+        return self._evaluate(grid, residues)
+
+    @cached_property
+    def parity(self) -> np.ndarray:
+        """1 where chi(-1) = -1, else 0, on the exponent grid.  -1 has log 0
+        or o/2 on each factor of order o, so chi(-1) = (-1)^(sum of m over
+        the factors where it is o/2)."""
+        flips = [np.arange(c.order) * (2 * c.dlog[c.modulus - 1] // c.order) for c in self.components]
+        return reduce(np.add.outer, flips, np.zeros((), dtype=np.int64)) % 2
+
+    def gauss_sums(self) -> np.ndarray:
+        """tau(chi) = sum_b chi(b) e(b/d) for every chi, on the exponent grid:
+        the conjugate of one transform of e(-b/d)."""
+        us = units(self.d)
+        return np.conj(self.transform(us, np.exp(-2j * np.pi * us / self.d)))
 
     def transform(self, residues: np.ndarray, values: np.ndarray) -> np.ndarray:
         """sum_a conj(chi(a)) v_a for every chi, on the exponent grid of shape `orders`.
 
-        Repeated residues add up, so values on units mod a multiple of d may
-        be passed reduced mod d.  The entry at exponent vector m is the one
-        for DirichletCharacter(self, m).
+        Values may be real or complex.  Repeated residues add up, so values
+        on units mod a multiple of d may be passed reduced mod d.  The entry
+        at index m is the one for exponent vector m, as in `values`.
         """
         residues = np.asarray(residues, dtype=np.int64)
-        logs = self.log_vectors(residues)
+        logs = _logs(self.components, residues)
         self._check_units(residues, logs)
         return _fourier(self.orders, logs, residues.size, values)
 
@@ -232,7 +262,7 @@ class CharacterGroup:
             level = [(1, (), [], _is_primitive(p, 0, []))]
             for f in range(2 if p == 2 else 1, e + 1):  # no primitive character mod 2
                 cs = comps if f == e else _prime_power_components(p, f)
-                logs = [c.dlog[residues % c.modulus] for c in cs]
+                logs = _logs(cs, residues)
                 level.append((p**f, tuple(c.order for c in cs), logs, _is_primitive(p, f, cs)))
             levels.append(level)
         self._check_units(residues, [lv for level in levels for part in level for lv in part[2]])
@@ -264,7 +294,11 @@ class CharacterGroup:
 
 @dataclass(frozen=True)
 class DirichletCharacter:
-    """Character determined by chi(g_i) = zeta^(exponents[i] / order_i)."""
+    """Character determined by chi(g_i) = zeta^(exponents[i] / order_i).
+
+    This class and the two enumerators below are kept only because the
+    benchmark traces them; library code works on `CharacterGroup`'s grids.
+    """
 
     group: CharacterGroup
     exponents: Tuple[int, ...]
@@ -276,40 +310,9 @@ class DirichletCharacter:
             if not (0 <= m < n):
                 raise ValueError(f"exponent {m} outside range of order {n}")
 
-    @property
-    def is_principal(self) -> bool:
-        return all(m == 0 for m in self.exponents)
-
-    def __call__(self, n: int) -> complex:
-        d = self.group.d
-        if gcd(n, d) != 1:
-            return 0.0 + 0.0j
-        return complex(self.values_on(np.array([n % d]))[0])
-
     def values_on(self, residues: np.ndarray) -> np.ndarray:
-        """Vectorized values on an array of unit residues mod d."""
-        g = self.group
-        lam = g.exponent
-        idx = np.zeros(len(np.asarray(residues)), dtype=np.int64)
-        for m, c, lv in zip(self.exponents, g.components, g.log_vectors(residues)):
-            idx += m * (lam // c.order) * lv
-        return g.roots[idx % lam]
-
-    @property
-    def parity(self) -> int:
-        """1 when chi(-1) = -1, else 0."""
-        # chi(-1) is the table's exact 1.0 or -1.0
-        return 0 if self(-1) == 1.0 else 1
-
-    @property
-    def is_primitive(self) -> bool:
-        return bool(self.group.primitive[self.exponents])
-
-    def order(self) -> int:
-        out = 1
-        for m, n in zip(self.exponents, self.group.orders):
-            out = lcm(out, n // gcd(n, m))
-        return out
+        """Values on an array of unit residues mod d; raises off the units."""
+        return self.group._evaluate(self.exponents, residues)
 
 
 def enumerate_characters(d: int | CharacterGroup) -> Iterator[DirichletCharacter]:
@@ -322,26 +325,8 @@ def enumerate_characters(d: int | CharacterGroup) -> Iterator[DirichletCharacter
 def enumerate_primitive(q: int | CharacterGroup) -> Iterator[DirichletCharacter]:
     """The phi_star(q) primitive characters mod q, in enumeration order."""
     for chi in enumerate_characters(q):
-        if chi.is_primitive:
+        if chi.group.primitive[chi.exponents]:
             yield chi
-
-
-def conductor(chi: DirichletCharacter) -> int:
-    """Least f | d such that chi is trivial on units congruent to 1 mod f."""
-    return int(chi.group.conductors[chi.exponents])
-
-
-def gauss_sum(chi: DirichletCharacter) -> complex:
-    """tau(chi) = sum over b mod d of chi(b) e(b/d), by direct summation."""
-    d = chi.group.d
-    if d > _GAUSS_MAX:
-        raise ValueError(f"direct Gauss sum limited to moduli <= {_GAUSS_MAX}")
-    if d == 1:
-        return 1.0 + 0.0j
-    us = units(d)
-    vals = chi.values_on(us)
-    e = np.exp(2j * np.pi * us / d)
-    return complex(np.sum(vals * e))
 
 
 def primitive_orthogonality_sum(q: int, m: int, n: int) -> int:
@@ -349,7 +334,7 @@ def primitive_orthogonality_sum(q: int, m: int, n: int) -> int:
 
     Requires gcd(mn, q) = 1.  Equals sum over q = q2 r2 with r2 | m - n of
     mu(q2) phi(r2); the m = n diagonal gives phi_star(q).  The tests verify
-    agreement with brute-force summation over enumerated primitive characters.
+    agreement with brute-force summation over the primitive rows of `values`.
     """
     if gcd(m * n, q) != 1:
         raise ValueError(f"gcd(mn, q) must be 1, got m={m}, n={n}, q={q}")

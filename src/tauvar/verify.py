@@ -29,13 +29,7 @@ from .arith import (
     tau_k_segments,
     units,
 )
-from .characters import (
-    CharacterGroup,
-    enumerate_characters,
-    enumerate_primitive,
-    gauss_sum,
-    primitive_orthogonality_sum,
-)
+from .characters import CharacterGroup, primitive_orthogonality_sum
 from .constants import (
     GAMMA3_PIECEWISE,
     a_k_d,
@@ -100,7 +94,7 @@ def _suite_orthogonality() -> SuiteReport:
     for d in range(1, 61):
         group = CharacterGroup(d)
         us = units(d)
-        vals = np.array([chi.values_on(us) for chi in enumerate_characters(group)])
+        vals = group.values(us).reshape(-1, us.size)
         gram = vals.conj().T @ vals  # gram[i, j] = sum_chi conj(chi(u_i)) chi(u_j)
         target = np.eye(us.size) * group.phi
         worst = max(worst, float(np.max(np.abs(gram - target))))
@@ -112,12 +106,13 @@ def _suite_orthogonality() -> SuiteReport:
     pairs_checked = 0
     for q in range(1, 101):
         group = CharacterGroup(q)
-        prims = list(enumerate_primitive(group))
-        us = [int(u) for u in units(q)] if q > 1 else [1]
+        us = units(q)
+        prims = group.values(us)[group.primitive]  # one row per primitive chi
         for _ in range(20):
-            m, n = (int(us[i]) for i in rng.integers(0, len(us), size=2))
-            formula = primitive_orthogonality_sum(q, m, n)
-            brute = sum(chi(m) * np.conj(chi(n)) for chi in prims)
+            i, j = rng.integers(0, us.size, size=2)
+            formula = primitive_orthogonality_sum(q, int(us[i]), int(us[j]))
+            # scalar by scalar, in enumeration order, as a brute-force sum adds
+            brute = sum(a * np.conj(b) for a, b in prims[:, [i, j]])
             worst = max(worst, abs(complex(brute) - formula))
             pairs_checked += 1
     rep.add("primitive-orthogonality-q<=100", worst, 1e-9, f"{pairs_checked} pairs")
@@ -128,19 +123,13 @@ def _suite_orthogonality() -> SuiteReport:
     for d in range(1, 201):
         if sum(phi_star(q) for q in divisors(d)) != euler_phi(d):
             count_ok = False
-        group = CharacterGroup(d)
         us = units(d)
-        nonprincipal = {
-            tuple(np.round(chi.values_on(us), 9).tolist())
-            for chi in enumerate_characters(group)
-            if not chi.is_principal
-        }
+        rows = np.round(CharacterGroup(d).values(us), 9).reshape(-1, us.size)
+        nonprincipal = {tuple(row) for row in rows[1:]}  # the principal character is first
         induced = set()
-        for q in divisors(d):
-            if q == 1:
-                continue
-            for chi1 in enumerate_primitive(q):
-                induced.add(tuple(np.round(chi1.values_on(us % q), 9).tolist()))
+        for q in divisors(d)[1:]:
+            group = CharacterGroup(q)
+            induced.update(tuple(row) for row in np.round(group.values(us % q)[group.primitive], 9))
         if induced != nonprincipal or len(induced) != euler_phi(d) - 1:
             bijection_ok = False
     rep.add_flag("phi-star-decomposition-d<=200", count_ok)
@@ -149,22 +138,29 @@ def _suite_orthogonality() -> SuiteReport:
     # parity consistency chi(-1) = (-1)^parity, d <= 100
     worst = 0.0
     for d in range(1, 101):
-        for chi in enumerate_characters(d):
-            worst = max(worst, abs(chi(d - 1 if d > 1 else 1) - (-1.0) ** chi.parity))
+        group = CharacterGroup(d)
+        at_minus_1 = group.values(np.array([d - 1]))[..., 0]
+        worst = max(worst, float(np.max(np.abs(at_minus_1 - (-1.0) ** group.parity))))
     rep.add("parity-consistency-d<=100", worst, 1e-12)
     return rep
 
 
 def _suite_gauss() -> SuiteReport:
     rep = SuiteReport("gauss")
-    worst = 0.0
+    worst = worst_transform = 0.0
     checked = 0
     for q in range(1, 51):
-        for chi in enumerate_primitive(q):
-            tau = gauss_sum(chi)
-            worst = max(worst, abs(abs(tau) ** 2 - q))
-            checked += 1
+        group = CharacterGroup(q)
+        us = units(q)
+        e = np.exp(2j * np.pi * us / q)
+        # tau(chi) = sum_b chi(b) e(b/q), summed directly row by row
+        direct = np.array([np.sum(row * e) for row in group.values(us)[group.primitive]], dtype=complex)
+        worst = max(worst, float(np.max(np.abs(np.abs(direct) ** 2 - q), initial=0.0)))
+        gap = np.abs(group.gauss_sums()[group.primitive] - direct)
+        worst_transform = max(worst_transform, float(np.max(gap, initial=0.0)))
+        checked += direct.size
     rep.add("gauss-modulus-primitive-q<=50", worst, 1e-10, f"{checked} characters")
+    rep.add("gauss-transform-vs-direct-q<=50", worst_transform, 1e-12, f"{checked} characters")
     return rep
 
 

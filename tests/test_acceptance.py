@@ -143,12 +143,14 @@ def test_criterion_08_character_suite():
     worst_orth = checks["full-orthogonality-d<=60"].residual
     worst_prim = checks["primitive-orthogonality-q<=100"].residual
     worst_gauss = checks["gauss-modulus-primitive-q<=50"].residual
+    gauss_transform = checks["gauss-transform-vs-direct-q<=50"].residual
     count_ok = checks["phi-star-decomposition-d<=200"].passed
     others = flags(checks, "induction-bijection-d<=200", "parity-consistency-d<=100")
     ok = (
         worst_orth < 1e-9
         and worst_prim < 1e-9
         and worst_gauss < 1e-10
+        and gauss_transform < 1e-12
         and count_ok
         and all(others.values())
     )
@@ -156,11 +158,13 @@ def test_criterion_08_character_suite():
         8,
         "character suite",
         ok,
-        f"orth {worst_orth:.2e}; divisor-formula {worst_prim:.2e}; gauss {worst_gauss:.2e}; counts {count_ok}",
+        f"orth {worst_orth:.2e}; divisor-formula {worst_prim:.2e}; gauss {worst_gauss:.2e}; "
+        f"gauss transform {gauss_transform:.2e}; counts {count_ok}",
     )
     assert worst_orth < 1e-9
     assert worst_prim < 1e-9
     assert worst_gauss < 1e-10
+    assert gauss_transform < 1e-12
     assert count_ok
     assert all(others.values()), others
 

@@ -4,29 +4,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tauvar.arith import divisors, euler_phi, factorize, phi_star, units
 from tauvar.characters import (
     CharacterGroup,
-    conductor,
+    DirichletCharacter,
     enumerate_characters,
     enumerate_primitive,
-    gauss_sum,
     primitive_orthogonality_sum,
 )
 
 
-def brute_conductor(chi):
-    """Oracle: least f | d with chi trivial on every unit u = 1 (mod f)."""
-    d = chi.group.d
-    for f in divisors(d):
-        if all(
-            abs(chi(u) - 1.0) < 1e-12
-            for u in range(1, d + 1)
-            if math.gcd(u, d) == 1 and u % f == 1 % f
-        ):
-            return f
-    return d
+def brute_conductors(group):
+    """Oracle: for every chi, the least f | d with chi trivial on every unit
+    u = 1 (mod f)."""
+    us = units(group.d)
+    vals = group.values(us)
+    out = np.full(group.orders, group.d)
+    for f in reversed(divisors(group.d)):  # the least f is written last
+        trivial = np.all(np.abs(vals[..., us % f == 1 % f] - 1.0) < 1e-12, axis=-1)
+        out[trivial] = f
+    return out
 
 
 def test_group_structure_examples():
@@ -125,7 +125,7 @@ def test_dlog_tables_at_large_moduli(modulus):
 def test_enumeration_counts():
     chis = list(enumerate_characters(5))
     assert len(chis) == 4
-    assert sum(1 for c in chis if not c.is_principal) == 3
+    assert sum(1 for c in chis if any(c.exponents)) == 3
     assert len(list(enumerate_primitive(4))) == 1
     assert len(list(enumerate_primitive(2))) == 0
     for q in range(1, 61):
@@ -135,62 +135,78 @@ def test_enumeration_counts():
 
 def test_char_eval_examples():
     for d in (1, 4, 9, 12):
-        for chi in enumerate_characters(d):
-            assert chi(1) == 1
-    chi4 = [c for c in enumerate_characters(4) if not c.is_principal][0]
-    assert chi4(3) == -1
-    # order-4 characters mod 5 send the generator 2 to a primitive 4th root
-    quartics = [c for c in enumerate_characters(5) if c.order() == 4]
-    values = sorted((complex(c(2)) for c in quartics), key=lambda z: z.imag)
-    assert values == [-1j, 1j]
+        assert np.all(CharacterGroup(d).values(np.array([1])) == 1)
+    # the nonprincipal character mod 4 is exponent 1 on <3>
+    assert CharacterGroup(4).values(np.array([3]))[1, 0] == -1
+    # the characters of order 4 mod 5, exponents 1 and 3 on <2>, send the
+    # generator 2 to a primitive 4th root
+    quartics = CharacterGroup(5).values(np.array([2]))[[1, 3], 0]
+    assert sorted(quartics.tolist(), key=lambda z: z.imag) == [-1j, 1j]
+    # values_on reads the same evaluator: each row of values, bit for bit
+    for d in (1, 8, 45, 60):
+        g = CharacterGroup(d)
+        us = units(d)
+        for chi in enumerate_characters(g):
+            assert np.array_equal(chi.values_on(us + d), g.values(us)[chi.exponents])
 
 
-def test_char_eval_vanishes_off_units():
-    for d in (4, 12, 45):
-        for chi in enumerate_characters(d):
-            for n in range(2 * d):
-                if math.gcd(n, d) > 1:
-                    assert chi(n) == 0
-                else:
-                    assert abs(abs(chi(n)) - 1.0) < 1e-14
+def test_values_raise_off_units():
+    # no character has a value off the units: values and values_on raise,
+    # as transform does, rather than read a -1 log into the root table
+    for d in (4, 10, 12, 45, 2018):
+        g = CharacterGroup(d)
+        chi = DirichletCharacter(g, tuple(o - 1 for o in g.orders))
+        n = np.arange(2 * d)
+        on_units = np.gcd(n, d) == 1
+        assert np.all(np.abs(np.abs(g.values(n[on_units])) - 1.0) < 1e-14)
+        for b in n[~on_units].tolist():
+            with pytest.raises(ValueError, match="unit residues"):
+                g.values(np.array([1, b]))
+            with pytest.raises(ValueError, match="unit residues"):
+                chi.values_on(np.array([1, b]))
 
 
 def test_complete_multiplicativity():
     rng = np.random.default_rng(17)
     for d in (5, 8, 12, 45):
-        units = [a for a in range(1, d + 1) if math.gcd(a, d) == 1]
-        for chi in enumerate_characters(d):
-            for _ in range(10):
-                m, n = (units[i] for i in rng.integers(0, len(units), size=2))
-                assert abs(chi(m * n) - chi(m) * chi(n)) < 1e-13
+        g = CharacterGroup(d)
+        us = units(d)
+        for _ in range(10):
+            m, n = rng.choice(us, size=2)
+            vals = g.values(np.array([m, n, m * n]))
+            assert np.max(np.abs(vals[..., 2] - vals[..., 0] * vals[..., 1])) < 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 2000), i=st.integers(0, 10**6), j=st.integers(0, 10**6))
+def test_values_are_multiplicative(d, i, j):
+    us = units(d)
+    m, n = int(us[i % us.size]), int(us[j % us.size])
+    vals = CharacterGroup(d).values(np.array([m, n, m * n]))
+    assert np.max(np.abs(vals[..., 2] - vals[..., 0] * vals[..., 1])) < 1e-12
 
 
 def test_parity():
     for d in range(1, 80):
-        for chi in enumerate_characters(d):
-            target = 1.0 if chi.parity == 0 else -1.0
-            assert abs(chi(d - 1 if d > 1 else 1) - target) < 1e-13
+        g = CharacterGroup(d)
+        at_minus_1 = g.values(np.array([d - 1]))[..., 0]
+        assert np.max(np.abs(at_minus_1 - (-1.0) ** g.parity)) < 1e-13
 
 
 def test_conductor_examples():
-    principal12 = next(iter(enumerate_characters(12)))
-    assert principal12.is_principal and conductor(principal12) == 1
-    chi4 = [c for c in enumerate_characters(4) if not c.is_principal][0]
+    assert CharacterGroup(12).conductors[0, 0] == 1  # the principal character
+    chi4 = CharacterGroup(4).values(units(8) % 4)[1]
     # chi4 induced to modulus 8: its values on the units mod 8 reduced mod 4
-    us8 = units(8)
-    (lifted,) = [
-        c for c in enumerate_characters(8) if np.array_equal(c.values_on(us8), chi4.values_on(us8 % 4))
-    ]
-    assert conductor(lifted) == 4 == brute_conductor(lifted)
-    for chi in enumerate_characters(5):
-        if not chi.is_principal:
-            assert conductor(chi) == 5
+    g8 = CharacterGroup(8)
+    (lifted,) = np.argwhere(np.all(g8.values(units(8)) == chi4, axis=-1))
+    assert g8.conductors[tuple(lifted)] == 4 == brute_conductors(g8)[tuple(lifted)]
+    assert np.all(CharacterGroup(5).conductors[1:] == 5)
 
 
 def test_conductor_matches_brute_force():
     for d in list(range(1, 41)) + [48, 56, 63, 64, 80, 81, 125]:
-        for chi in enumerate_characters(d):
-            assert conductor(chi) == brute_conductor(chi), (d, chi.exponents)
+        g = CharacterGroup(d)
+        assert np.array_equal(g.conductors, brute_conductors(g)), d
 
 
 def test_transform_matches_character_sums():
@@ -199,11 +215,15 @@ def test_transform_matches_character_sums():
     rng = np.random.default_rng(23)
 
     def check(q, residues):
+        g = CharacterGroup(q)
         v = rng.standard_normal(residues.size)
-        t = CharacterGroup(q).transform(residues, v)
-        for chi in enumerate_characters(q):
-            want = np.sum(np.conj(chi.values_on(residues)) * v)
-            assert abs(t[chi.exponents] - want) < 1e-12 * np.abs(v).sum(), (q, chi.exponents)
+        w = v + 1j * rng.standard_normal(residues.size)
+        want = np.sum(np.conj(g.values(residues)) * w, axis=-1)
+        assert np.all(np.abs(g.transform(residues, w) - want) < 1e-12 * np.abs(w).sum()), q
+        want = np.sum(np.conj(g.values(residues)) * v, axis=-1)
+        assert np.all(np.abs(g.transform(residues, v) - want) < 1e-12 * np.abs(v).sum()), q
+        # real input scatters as a complex one with zero imaginary part
+        assert np.array_equal(g.transform(residues, v), g.transform(residues, v + 0j))
 
     for d in range(1, 61):
         check(d, units(d))
@@ -253,37 +273,44 @@ def test_primitive_powers_match_per_q_groups():
 def test_induction_bijection_small():
     for d in (12, 24, 40, 45):
         us = units(d)
-        direct = {
-            tuple(np.round(chi.values_on(us), 9))
-            for chi in enumerate_characters(d)
-            if not chi.is_principal
-        }
+        rows = np.round(CharacterGroup(d).values(us), 9).reshape(-1, us.size)
+        direct = {tuple(row) for row in rows[1:]}  # all but the principal character
         induced = set()
-        for q in divisors(d):
-            if q == 1:
-                continue
-            for chi1 in enumerate_primitive(q):
-                induced.add(tuple(np.round(chi1.values_on(us % q), 9)))
+        for q in divisors(d)[1:]:
+            g = CharacterGroup(q)
+            induced.update(tuple(row) for row in np.round(g.values(us % q)[g.primitive], 9))
         assert direct == induced
         assert len(induced) == euler_phi(d) - 1
 
 
 def test_gauss_sum_examples():
-    principal1 = next(iter(enumerate_characters(1)))
-    assert gauss_sum(principal1) == 1
-    quadratic5 = [c for c in enumerate_characters(5) if c.order() == 2][0]
-    tau = gauss_sum(quadratic5)
+    assert CharacterGroup(1).gauss_sums() == 1
+    tau = CharacterGroup(5).gauss_sums()[2]  # the quadratic character mod 5
     assert abs(tau.imag) < 1e-12 and abs(tau.real - math.sqrt(5)) < 1e-12
     for q in range(3, 51):
-        for chi in enumerate_primitive(q):
-            assert abs(abs(gauss_sum(chi)) ** 2 - q) < 1e-10
+        g = CharacterGroup(q)
+        assert np.all(np.abs(np.abs(g.gauss_sums()[g.primitive]) ** 2 - q) < 1e-10), q
+
+
+@pytest.mark.parametrize("qs", [range(1, 51), [1024, 2187, 1009]], ids=["q<=50", "large"])
+def test_gauss_sums_match_direct_sums(qs):
+    for q in qs:
+        g = CharacterGroup(q)
+        us = units(q)
+        direct = np.sum(g.values(us) * np.exp(2j * np.pi * us / q), axis=-1)
+        assert np.max(np.abs(g.gauss_sums() - direct)) < 1e-12 * us.size, q
+
+
+def brute_primitive_sum(q, m, n):
+    """sum over primitive chi mod q of chi(m) conj(chi(n)), one character at a time."""
+    g = CharacterGroup(q)
+    return complex(sum(a * np.conj(b) for a, b in g.values(np.array([m, n]))[g.primitive]))
 
 
 def test_primitive_orthogonality_examples():
     assert primitive_orthogonality_sum(12, 5, 5) == phi_star(12) == 1
     assert primitive_orthogonality_sum(7, 1, 1) == 5
-    brute = sum(chi(2) * np.conj(chi(3)) for chi in enumerate_primitive(5))
-    assert abs(primitive_orthogonality_sum(5, 2, 3) - complex(brute)) < 1e-12
+    assert abs(primitive_orthogonality_sum(5, 2, 3) - brute_primitive_sum(5, 2, 3)) < 1e-12
     with pytest.raises(ValueError, match="gcd"):
         primitive_orthogonality_sum(12, 4, 5)
 
@@ -291,19 +318,17 @@ def test_primitive_orthogonality_examples():
 def test_primitive_orthogonality_matches_brute_force():
     rng = np.random.default_rng(19)
     for q in (7, 9, 16, 24, 45, 60):
-        prims = list(enumerate_primitive(q))
         units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
         for _ in range(15):
             m, n = (units[i] for i in rng.integers(0, len(units), size=2))
-            brute = sum(chi(m) * np.conj(chi(n)) for chi in prims)
-            assert abs(primitive_orthogonality_sum(q, m, n) - complex(brute)) < 1e-10
+            assert abs(primitive_orthogonality_sum(q, m, n) - brute_primitive_sum(q, m, n)) < 1e-10
 
 
 def test_full_orthogonality():
     for d in (4, 9, 12, 35, 60):
         g = CharacterGroup(d)
         us = units(d)
-        vals = np.array([chi.values_on(us) for chi in enumerate_characters(g)])
+        vals = g.values(us).reshape(-1, us.size)
         gram = vals.conj().T @ vals
         assert np.max(np.abs(gram - g.phi * np.eye(us.size))) < 1e-9
 

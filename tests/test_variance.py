@@ -460,15 +460,20 @@ def test_modulus_rule_has_one_message():
             fn(*args)
         return str(exc.value)
 
-    messages = {
-        message(units, 0),
-        message(CharacterGroup, 0),
-        message(experiment, 2, 0, 1.5),
-        message(main_term, 2, 0, 1.5),
-        message(a_k_d, 2, 0),
-        message(constants.convolution_compare, 2, 0),
-    }
-    assert messages == {"modulus must be >= 1, got 0"}
+    for bad in (0, 12.0, np.float64(12.0), "12"):
+        messages = {
+            message(units, bad),
+            message(CharacterGroup, bad),
+            message(compute_class_sums, 2, bad, 1e5, "sharp"),
+            message(experiment, 2, bad, 1.5),
+            message(main_term, 2, bad, 1.5),
+            message(a_k_d, 2, bad),
+            message(constants.convolution_compare, 2, bad),
+        }
+        assert messages == {f"modulus must be >= 1 and an integer, got {bad!r}"}
+    # numpy integers are valid moduli
+    assert np.array_equal(units(np.int64(12)), units(12))
+    assert CharacterGroup(np.int32(12)).orders == CharacterGroup(12).orders
 
 
 def test_experiment_reports_the_fixed_truncation():
