@@ -115,8 +115,12 @@ class TauSegment:
     values: np.ndarray  # uint64, length hi - lo
 
 
+# what every integer argument must be: a Python or numpy integer, never a float
+_INTEGERS = (int, np.integer)
+
+
 def _check_k(k: int) -> None:
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if not isinstance(k, _INTEGERS) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     if k > MAX_K:
         raise ValueError(f"k = {k} exceeds the supported bound {MAX_K}")
@@ -171,7 +175,7 @@ def divisors(n: int) -> List[int]:
 
 def _check_modulus(d: int) -> None:
     """The one modulus rule of units, character groups, variance points and a_k(d)."""
-    if not isinstance(d, (int, np.integer)) or d < 1:
+    if not isinstance(d, _INTEGERS) or d < 1:
         raise ValueError(f"modulus must be >= 1 and an integer, got {d!r}")
 
 
@@ -209,17 +213,18 @@ def primes_upto(n: int) -> np.ndarray:
 
 def _check_range(k: int, lo: int, hi: int) -> None:
     _check_k(k)
-    if not (1 <= lo < hi):
-        raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
+    if not (isinstance(lo, _INTEGERS) and isinstance(hi, _INTEGERS) and 1 <= lo < hi):
+        raise ValueError(f"need 1 <= lo < hi, both integers, got [{lo}, {hi})")
     if hi - 1 > MAX_N:
         raise ValueError(f"hi = {hi} exceeds the supported bound 2^63 - 1")
 
 
 def _check_window(segment_size: int) -> None:
-    """The one rule for a sieve window: 1..DEFAULT_SEGMENT_SIZE entries."""
-    if not 1 <= segment_size <= DEFAULT_SEGMENT_SIZE:
+    """The one rule for a sieve window: an integer 1..DEFAULT_SEGMENT_SIZE entries."""
+    if not (isinstance(segment_size, _INTEGERS) and 1 <= segment_size <= DEFAULT_SEGMENT_SIZE):
         raise ValueError(
-            f"segment_size must be positive and <= {DEFAULT_SEGMENT_SIZE}, got {segment_size}"
+            f"segment_size must be positive and <= {DEFAULT_SEGMENT_SIZE}, an integer, "
+            f"got {segment_size}"
         )
 
 

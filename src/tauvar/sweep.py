@@ -2,9 +2,10 @@
 
 A sweep measures every point of the product k_list x d_list x c_list and
 persists one line-delimited JSON record per point next to a CSV summary.
-Rows are written in input order as points finish, so a crashed run leaves a
-usable prefix, and re-running an identical configuration reproduces the CSV
-byte for byte apart from the runtime column, regardless of worker count.
+Rows are written in input order as their batch finishes, so a crashed run
+leaves a usable prefix, and re-running an identical configuration reproduces
+the CSV byte for byte apart from the runtime column, regardless of worker
+count.
 
 The main term's constants do not depend on d: gamma_k(c) depends on (k, c)
 only and a_k on k only.  Each sweep evaluates them once per distinct key of
@@ -13,9 +14,13 @@ values with the same builder as experiment(), so each record equals
 experiment() at that point in every field but wall_time_s.  Constants and
 points take one path whatever the worker count: a single `submit` that is
 the process pool's when workers > 1, and otherwise runs the call in process
-and returns a finished future.  A record's runtime_s (wall_time_s) is that
-point's own time, without the shared constants.  Nothing is kept between
-sweeps: a second run_sweep evaluates the constants again.
+and returns a finished future.  Points go to `submit` in batches: contiguous
+runs of points, _BATCHES_PER_WORKER per worker in a pool, so a sweep makes a
+few pool round trips rather than one per point, and one point per batch in
+process.  A point whose constant failed stays out of its batch and fails
+alone.  A record's runtime_s (wall_time_s) is that point's own time, without
+the shared constants.  Nothing is kept between sweeps: a second run_sweep
+evaluates the constants again.
 
 Configuration files are flat "key = value" text (diff-friendly provenance):
 
@@ -33,6 +38,7 @@ Configuration files are flat "key = value" text (diff-friendly provenance):
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import sys
 import time
@@ -40,7 +46,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from .arith import primes_upto
 from .constants import (
@@ -62,6 +68,13 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+
+# Pool tasks per worker in a parallel sweep: enough that a worker left with
+# slow points does not hold up the rest, few enough that each round trip is
+# spread over many points.
+_BATCHES_PER_WORKER = 4
+
+Point = Tuple[int, int, float]
 
 CSV_COLUMNS = (
     "k",
@@ -98,7 +111,7 @@ class SweepConfig:
             for c in self.c_list:
                 check_gamma_domain(k, c, self.gamma_method, self.samples, self.seed)
 
-    def points(self) -> Iterator[Tuple[int, int, float]]:
+    def points(self) -> Iterator[Point]:
         for k in self.k_list:
             for d in self.d_list:
                 for c in self.c_list:
@@ -167,7 +180,7 @@ def load_config(path: str | Path) -> SweepConfig:
 class SweepResult:
     config: SweepConfig
     records: List[VarianceReport] = field(default_factory=list)
-    failures: List[Tuple[Tuple[int, int, float], str]] = field(default_factory=list)
+    failures: List[Tuple[Point, str]] = field(default_factory=list)
     csv_path: Optional[Path] = None
     jsonl_path: Optional[Path] = None
 
@@ -201,8 +214,13 @@ def _run_in_process(fn: Callable, *args, **kwargs) -> Future:
     return done
 
 
+def _failure(exc: Exception) -> str:
+    """A failed point's "Type: message" text, as stderr and SweepResult give it."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _run_point(
-    point: Tuple[int, int, float], config: SweepConfig, ak: ConstantValue, gamma: ConstantValue
+    point: Point, config: SweepConfig, ak: ConstantValue, gamma: ConstantValue
 ) -> VarianceReport:
     start = time.perf_counter()
     k, d, c = point
@@ -211,16 +229,38 @@ def _run_point(
     return _report(k, d, c, x, config.cutoff, config.gamma_method, akd, gamma, 1, start)
 
 
+def _run_batch(
+    jobs: List[Tuple[Point, ConstantValue, ConstantValue]], config: SweepConfig
+) -> List[Union[VarianceReport, str]]:
+    """Run each (point, a_k, gamma) job in order; one outcome per job: its
+    report, or its failure's text.  Top-level so worker pools can pickle it."""
+    outcomes: List[Union[VarianceReport, str]] = []
+    for point, ak, gamma in jobs:
+        try:
+            outcomes.append(_run_point(point, config, ak, gamma))
+        except Exception as exc:  # noqa: BLE001 - per-point isolation
+            outcomes.append(_failure(exc))
+    return outcomes
+
+
+def _batches(points: List[Point], workers: int) -> List[List[Point]]:
+    """Contiguous runs of points: one point each in process, else at most
+    _BATCHES_PER_WORKER per worker, of equal size but the last."""
+    size = 1 if workers == 1 else -(-len(points) // (_BATCHES_PER_WORKER * workers))
+    return [points[i : i + size] for i in range(0, len(points), size)]
+
+
 def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> SweepResult:
     """Run every (k, d, c) point, flushing records and CSV rows incrementally.
 
     Per-point failures are reported on stderr and recorded; remaining points
-    still run.  A constant that fails fails every point that needs it.
-    Constants and points go through one `submit`: a process pool's when
-    workers > 1, otherwise one that runs the call in this process.  Either
-    way each constant is one future, submitted before the first point, and
-    results are written in input order.  In process, a point
-    runs only after the previous row is flushed.
+    still run.  A constant that fails fails every point that needs it, and
+    only those.  Constants and batches of points go through one `submit`: a
+    process pool's when workers > 1, otherwise one that runs the call in
+    this process.  Either way each constant is one future, submitted before
+    the first batch, and each batch of points one more.  Rows are written in
+    input order as their batch finishes.  In process a batch is one point,
+    which runs only after the previous row is flushed.
     """
     out = Path(out_dir) if out_dir is not None else (Path(config.out) if config.out else None)
     if out is None:
@@ -232,6 +272,7 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> SweepRe
     result.jsonl_path = out / "results.jsonl"
     points = list(config.points())
     parallel = config.workers > 1 and len(points) > 1
+    batches = _batches(points, config.workers if parallel else 1)
 
     # Opening the outputs before any work fails fast on an unwritable directory.
     with open(result.csv_path, "w", newline="") as csv_f, open(
@@ -256,31 +297,45 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> SweepRe
                     mc_samples=config.samples, mc_seed=config.seed,
                 )
 
-        def queue(point: Tuple[int, int, float]) -> Future:
-            k, _, c = point
+        def queue(batch: List[Point]) -> Tuple[Dict[int, str], Future]:
+            """Submit a batch once its points' constants are in: the failure
+            text of each point whose constant failed, by its place in the
+            batch, and the future outcomes of the others."""
+            failed: Dict[int, str] = {}
+            jobs = []
+            for i, point in enumerate(batch):
+                k, _, c = point
+                try:
+                    ak, gamma = constants[("a_k", k)].result(), constants[("gamma", k, c)].result()
+                except Exception as exc:  # noqa: BLE001 - a failed constant
+                    failed[i] = _failure(exc)
+                else:
+                    jobs.append((point, ak, gamma))
             try:
-                ak, gamma = constants[("a_k", k)].result(), constants[("gamma", k, c)].result()
-                return submit(_run_point, point, config, ak, gamma)
-            except Exception as exc:  # noqa: BLE001 - a failed constant or a broken pool
-                failed: Future = Future()
-                failed.set_exception(exc)
-                return failed
+                return failed, submit(_run_batch, jobs, config)
+            except Exception as exc:  # noqa: BLE001 - a broken pool
+                refused: Future = Future()
+                refused.set_exception(exc)
+                return failed, refused
 
-        # The pool gets every point up front; in process they run one by one.
-        queued = list(map(queue, points)) if parallel else map(queue, points)
-        for point, fut in zip(points, queued):
+        # The pool gets every batch up front; in process they run one by one.
+        queued = list(map(queue, batches)) if parallel else map(queue, batches)
+        for batch, (failed, fut) in zip(batches, queued):
             try:
-                report = fut.result()
-            except Exception as exc:  # noqa: BLE001 - per-point isolation
-                err = f"{type(exc).__name__}: {exc}"
-                print(f"sweep point {point} failed: {err}", file=sys.stderr)
-                result.failures.append((point, err))
-                continue
-            result.records.append(report)
-            writer.writerow(_csv_row(report))
-            csv_f.flush()
-            jsonl_f.write(record_line(report))
-            jsonl_f.flush()
+                ran = iter(fut.result())
+            except Exception as exc:  # noqa: BLE001 - a broken pool fails its batches
+                ran = itertools.repeat(_failure(exc))
+            for i, point in enumerate(batch):
+                outcome = failed[i] if i in failed else next(ran)
+                if isinstance(outcome, str):
+                    print(f"sweep point {point} failed: {outcome}", file=sys.stderr)
+                    result.failures.append((point, outcome))
+                    continue
+                result.records.append(outcome)
+                writer.writerow(_csv_row(outcome))
+                csv_f.flush()
+                jsonl_f.write(record_line(outcome))
+                jsonl_f.flush()
 
     return result
 

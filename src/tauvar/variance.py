@@ -46,6 +46,7 @@ import numpy as np
 
 from ._version import __version__
 from .arith import (
+    _INTEGERS,
     _L2,
     DEFAULT_SEGMENT_SIZE,
     _check_modulus,
@@ -170,8 +171,8 @@ def _check_point(d: int, cutoff: str, workers: int) -> None:
     _check_modulus(d)
     if cutoff not in CUTOFFS:
         raise ValueError(f"cutoff must be {' or '.join(map(repr, CUTOFFS))}, got {cutoff!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
+    if not isinstance(workers, _INTEGERS) or workers < 1:
+        raise ValueError(f"workers must be positive and an integer, got {workers}")
 
 
 def _class_sum_range(d: int, x: float, cutoff: str, workers: int) -> Tuple[int, int]:

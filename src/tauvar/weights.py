@@ -15,6 +15,7 @@ the module, so importing tauvar loads numpy and the standard library only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple, Union
@@ -139,8 +140,13 @@ class MellinValue:
     error: Union[float, np.ndarray]
 
 
+@functools.cache
 def make_bump_weight() -> SmoothWeight:
-    """The canonical bump with int w^2 = 1 (within quadrature precision)."""
+    """The canonical bump with int w^2 = 1 (within quadrature precision).
+
+    Built once per process: the first call runs the quadrature and every
+    later one returns that same frozen weight.
+    """
     return SmoothWeight(amplitude=1.0 / math.sqrt(SmoothWeight(1.0).l2_norm_sq()))
 
 

@@ -125,6 +125,9 @@ def test_tau_segment_rejects_oversize_before_allocating():
         tau_k_segment(2, 1, 2 + DEFAULT_SEGMENT_SIZE)
     with pytest.raises(ValueError):
         tau_k_segment(2, 10, 10)
+    # a float bound used to pass, and lo = 1.5 sieved tau(1..9)
+    with pytest.raises(ValueError, match=re.escape("need 1 <= lo < hi, both integers, got [1.5, 10)")):
+        tau_k_segment(2, 1.5, 10)
 
 
 def test_window_cap_is_fixed():
@@ -132,7 +135,7 @@ def test_window_cap_is_fixed():
     # 1..2^22 entries only, checked before any prime is sieved
     assert "segment_cap" not in inspect.signature(tau_k_segment).parameters
     with mock.patch.object(arith, "primes_upto", side_effect=AssertionError("sieved primes")):
-        for size in (0, -1, DEFAULT_SEGMENT_SIZE + 1, 2 * DEFAULT_SEGMENT_SIZE):
+        for size in (0, -1, DEFAULT_SEGMENT_SIZE + 1, 2 * DEFAULT_SEGMENT_SIZE, 2.5):
             with pytest.raises(ValueError, match="segment_size must be positive"):
                 next(tau_k_segments(2, 1, 100, size))
     assert [s.hi - s.lo for s in tau_k_segments(2, 1, 11, DEFAULT_SEGMENT_SIZE)] == [10]
@@ -145,6 +148,7 @@ def test_tau_segments_check_the_range_before_building_primes():
         ((2, 10, 5), "need 1 <= lo < hi"),
         ((2, 5, -3), "need 1 <= lo < hi"),
         ((2, 0, 5), "need 1 <= lo < hi"),
+        ((2, 1, 10.0), "need 1 <= lo < hi, both integers"),
         ((0, 1, 5), "k must be a positive integer"),
         ((17, 1, 5), "exceeds the supported bound 16"),
     ]

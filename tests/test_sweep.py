@@ -2,6 +2,7 @@
 
 import csv
 import re
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -147,7 +148,9 @@ def test_config_rejects_a_non_integer_seed():
         SweepConfig(k_list=(3,), d_list=(7,), c_list=(2.5,), gamma_method="mc", seed=1.5)
 
 
-@pytest.mark.parametrize("field, value", [("cutoff", "Sharp"), ("workers", 0), ("d_list", (5, -3))])
+@pytest.mark.parametrize(
+    "field, value", [("cutoff", "Sharp"), ("workers", 0), ("d_list", (5, -3)), ("workers", 2.5)]
+)
 def test_config_checks_a_point_as_experiment_does(field, value):
     config = dict(k_list=(2,), d_list=(5,), c_list=(1.5,), cutoff="sharp", workers=1)
     config[field] = value
@@ -246,21 +249,26 @@ def test_sweep_determinism_across_runs_and_workers(tmp_path):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_isolates_point_failures(tmp_path, capsys, workers):
-    # the last d is fine; the huge c pushes X = d^c over the sieve budget,
-    # which at workers = 2 is raised in a pool worker
+    # every other d is fine; d = 10^9 pushes X = d^1.5 over the sieve budget,
+    # which at workers = 2 is raised in a pool worker, inside a batch that
+    # also holds good points
     cfg = SweepConfig(
-        k_list=(5,), d_list=(10**6, 11), c_list=(4.5,), gamma_method="mc", samples=10**4,
-        workers=workers,
+        k_list=(2,), d_list=(4, 10**9, 5, 7, 8, 9, 11, 12, 13), c_list=(1.5,), workers=workers,
     )
+    bad = (2, 10**9, 1.5)
+    batch = next(b for b in tauvar.sweep._batches(list(cfg.points()), workers) if bad in b)
+    assert len(batch) == workers  # alone in process, beside (2, 4, 1.5) in the pool
     res = run_sweep(cfg, out_dir=tmp_path / "fail")
     assert not res.ok
-    assert len(res.failures) == 1 and len(res.records) == 1
+    assert len(res.failures) == 1 and len(res.records) == 8
     point, err = res.failures[0]
-    assert point == (5, 10**6, 4.5)
+    assert point == bad
     assert err.startswith("ValueError: range of ") and "exceeds the sieve budget" in err
     assert f"sweep point {point} failed: {err}" in capsys.readouterr().err
+    good = [pt for pt in cfg.points() if pt != bad]
+    assert [(r.k, r.d, r.c) for r in res.records] == good
     with open(res.csv_path, newline="") as f:
-        assert len(list(csv.DictReader(f))) == 1
+        assert len(list(csv.DictReader(f))) == 8
 
 
 def test_sweep_point_checks_its_range_before_factoring_d(tmp_path, monkeypatch):
@@ -356,16 +364,19 @@ def test_sweep_evaluates_each_constant_once_per_call(tmp_path, monkeypatch):
     assert calls == {"gamma_k_mc": 8, "a_k_value": 4}
 
 
-def test_sweep_isolates_a_failing_shared_constant(tmp_path, monkeypatch):
-    original = tauvar.sweep.gamma_eval
+def _gamma_failing_at_3_17(k, c, *args, **kwargs):
+    # top-level, so a pool worker can unpickle it
+    if (k, c) == (3, 1.7):
+        raise RuntimeError("no gamma here")
+    return gamma_eval(k, c, *args, **kwargs)
 
-    def gamma_eval(k, c, *args, **kwargs):
-        if (k, c) == (3, 1.7):
-            raise RuntimeError("no gamma here")
-        return original(k, c, *args, **kwargs)
 
-    monkeypatch.setattr(tauvar.sweep, "gamma_eval", gamma_eval)
-    cfg = MC_GRID
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_isolates_a_failing_shared_constant(tmp_path, monkeypatch, workers):
+    # at workers = 2 the batches hold two points each, so (3, d, 1.3) and
+    # (3, d, 1.7) share one, and only the second may fail
+    monkeypatch.setattr(tauvar.sweep, "gamma_eval", _gamma_failing_at_3_17)
+    cfg = SweepConfig(**{**MC_GRID.__dict__, "workers": workers})
     res = run_sweep(cfg, out_dir=tmp_path)
     bad = [pt for pt in cfg.points() if pt[0] == 3 and pt[2] == 1.7]
     assert res.failures == [(pt, "RuntimeError: no gamma here") for pt in bad]
@@ -375,6 +386,24 @@ def test_sweep_isolates_a_failing_shared_constant(tmp_path, monkeypatch):
         rows = list(csv.DictReader(f))
     assert [(int(r["k"]), int(r["d"]), float(r["c"])) for r in rows] == good
     assert len(read_records(res.jsonl_path)) == len(good)
+
+
+def test_parallel_sweep_submits_one_task_per_batch(tmp_path, monkeypatch):
+    submitted = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(fn.__name__)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(tauvar.sweep, "ProcessPoolExecutor", CountingPool)
+    d_list = (4, 5, 7, 8, 9, 11, 12, 13, 35)
+    cfg = SweepConfig(**{**MC_GRID.__dict__, "d_list": d_list, "workers": 2})
+    assert run_sweep(cfg, out_dir=tmp_path).ok
+    constants = len(cfg.k_list) + len(cfg.k_list) * len(cfg.c_list)
+    # one task per point would be 6 + 36
+    assert len(submitted) <= constants + tauvar.sweep._BATCHES_PER_WORKER * cfg.workers
+    assert submitted.count("_run_batch") == len(tauvar.sweep._batches(list(cfg.points()), 2))
 
 
 def test_sweep_requires_out_dir():

@@ -178,6 +178,14 @@ def test_class_sums_reject_nonpositive_segment_size():
             compute_class_sums(2, 101, 1000.0, "sharp", segment_size=size)
 
 
+def test_class_sums_reject_non_integer_workers_and_windows():
+    # both used to get past the checks and raise TypeError in the pool or range()
+    with pytest.raises(ValueError, match="workers must be positive and an integer, got 2.5"):
+        compute_class_sums(2, 5, 1e7, "sharp", workers=2.5)
+    with pytest.raises(ValueError, match="segment_size must be positive .* an integer, got 1000.0"):
+        compute_class_sums(2, 5, 1e7, "sharp", segment_size=1e3)
+
+
 def test_class_sums_reject_windows_above_the_cap():
     for size in (DEFAULT_SEGMENT_SIZE + 1, 2 * DEFAULT_SEGMENT_SIZE):
         with pytest.raises(ValueError, match="segment_size must be positive and <= 4194304"):
@@ -221,6 +229,7 @@ def test_class_sums_reject_nonpositive_workers():
         ((3, 101, 2.5, "Smooth"), {}, "cutoff must be 'sharp' or 'smooth'"),
         ((3, 101, 2.5, "smooth"), {"workers": 0}, "workers must be positive"),
         ((3, 10**6, 2.9, "smooth"), {}, "exceeds the sieve budget"),
+        ((2, 5, 1.5, "sharp"), {"workers": 2.5}, "workers must be positive and an integer"),
     ],
 )
 def test_experiment_checks_class_sum_arguments_before_its_constants(
