@@ -11,16 +11,19 @@ The main term's constants do not depend on d: gamma_k(c) depends on (k, c)
 only and a_k on k only.  Each sweep evaluates them once per distinct key of
 its points, as futures, and builds every point's report from the shared
 values with the same builder as experiment(), so each record equals
-experiment() at that point in every field but wall_time_s.  Constants and
-points take one path whatever the worker count: a single `submit` that is
-the process pool's when workers > 1, and otherwise runs the call in process
-and returns a finished future.  Points go to `submit` in batches: contiguous
-runs of points, _BATCHES_PER_WORKER per worker in a pool, so a sweep makes a
-few pool round trips rather than one per point, and one point per batch in
-process.  A point whose constant failed stays out of its batch and fails
-alone.  A record's runtime_s (wall_time_s) is that point's own time, without
-the shared constants.  Nothing is kept between sweeps: a second run_sweep
-evaluates the constants again.
+experiment() at that point in every field but wall_time_s.  Constants take
+one path whatever the worker count: a single `submit` that is the process
+pool's when workers > 1, and otherwise runs the call in process and returns
+a finished future.  Points take the pool's `map`, or the built-in one in
+process, over batches: contiguous runs of about one unit of estimated work,
+the lesser of _BATCH_COST_X and a 1/_BATCHES_PER_WORKER share of a worker's
+part.  A sweep of cheap points thus makes a few pool round trips rather than
+one per point, while dear points keep one task each, so the workers still
+share the work evenly.  In process each batch is one point.  A point whose constant failed
+carries that failure in its batch and fails alone.  A record's runtime_s
+(wall_time_s) is that point's own time, without the shared constants.  Each
+sweep evaluates its constants again; only the bump weight, built once per
+process, outlives a sweep.
 
 Configuration files are flat "key = value" text (diff-friendly provenance):
 
@@ -74,7 +77,20 @@ SCHEMA_VERSION = 1
 # spread over many points.
 _BATCHES_PER_WORKER = 4
 
+# A point's fixed cost (its report, a_k's local factors, the pool hop) in
+# sieve entries: about 0.7 ms, the time to sieve 3*10^4 entries on one core.
+_POINT_COST_X = 2**15
+
+# The most work worth one batch, in sieve entries: about 0.1 s, beside which
+# a pool round trip (under 1 ms) is lost.  Dearer batches save nothing and
+# only coarsen how the workers share the work.
+_BATCH_COST_X = 2**22
+
 Point = Tuple[int, int, float]
+# a point with its a_k and gamma, or the text of its constant's failure
+Job = Union[Tuple[Point, ConstantValue, ConstantValue], str]
+# a point's report, or the text of its failure
+Outcome = Union[VarianceReport, str]
 
 CSV_COLUMNS = (
     "k",
@@ -220,7 +236,7 @@ def _failure(exc: Exception) -> str:
 
 
 def _run_point(
-    point: Point, config: SweepConfig, ak: ConstantValue, gamma: ConstantValue
+    point: Point, ak: ConstantValue, gamma: ConstantValue, config: SweepConfig
 ) -> VarianceReport:
     start = time.perf_counter()
     k, d, c = point
@@ -229,25 +245,47 @@ def _run_point(
     return _report(k, d, c, x, config.cutoff, config.gamma_method, akd, gamma, 1, start)
 
 
-def _run_batch(
-    jobs: List[Tuple[Point, ConstantValue, ConstantValue]], config: SweepConfig
-) -> List[Union[VarianceReport, str]]:
-    """Run each (point, a_k, gamma) job in order; one outcome per job: its
-    report, or its failure's text.  Top-level so worker pools can pickle it."""
-    outcomes: List[Union[VarianceReport, str]] = []
-    for point, ak, gamma in jobs:
+def _run_batch(jobs: List[Job], config: SweepConfig) -> List[Outcome]:
+    """Each job's outcome, in order; a job that is already a failure's text
+    stays one.  Top-level so worker pools can pickle it."""
+    outcomes: List[Outcome] = []
+    for job in jobs:
+        if isinstance(job, str):
+            outcomes.append(job)
+            continue
         try:
-            outcomes.append(_run_point(point, config, ak, gamma))
+            outcomes.append(_run_point(*job, config))
         except Exception as exc:  # noqa: BLE001 - per-point isolation
             outcomes.append(_failure(exc))
     return outcomes
 
 
-def _batches(points: List[Point], workers: int) -> List[List[Point]]:
-    """Contiguous runs of points: one point each in process, else at most
-    _BATCHES_PER_WORKER per worker, of equal size but the last."""
-    size = 1 if workers == 1 else -(-len(points) // (_BATCHES_PER_WORKER * workers))
-    return [points[i : i + size] for i in range(0, len(points), size)]
+def _point_cost(point: Point, cutoff: str) -> float:
+    """A point's estimated work in sieve entries: X plus its fixed cost.  A
+    point that fails its checks costs only the fixed part."""
+    _, d, c = point
+    try:
+        return _point_x(d, c, cutoff, 1) + _POINT_COST_X
+    except Exception:  # noqa: BLE001 - it fails again, alone, when it runs
+        return _POINT_COST_X
+
+
+def _batches(points: List[Point], config: SweepConfig, workers: int) -> List[List[Point]]:
+    """Contiguous runs of points: one point each in process; in a pool, runs
+    of about one unit of cost each, the unit being the lesser of
+    _BATCH_COST_X and a 1/_BATCHES_PER_WORKER share of each worker's part.
+    A point goes to the unit that holds the middle of its own cost, so one
+    that costs two units or more is a batch of its own."""
+    if workers == 1:
+        return [[point] for point in points]
+    costs = [_point_cost(point, config.cutoff) for point in points]
+    unit = min(sum(costs) / (_BATCHES_PER_WORKER * workers), _BATCH_COST_X)
+    batches: Dict[int, List[Point]] = {}
+    before = 0.0
+    for point, cost in zip(points, costs):
+        batches.setdefault(int((before + cost / 2) / unit), []).append(point)
+        before += cost
+    return list(batches.values())
 
 
 def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> SweepResult:
@@ -255,12 +293,12 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> SweepRe
 
     Per-point failures are reported on stderr and recorded; remaining points
     still run.  A constant that fails fails every point that needs it, and
-    only those.  Constants and batches of points go through one `submit`: a
-    process pool's when workers > 1, otherwise one that runs the call in
-    this process.  Either way each constant is one future, submitted before
-    the first batch, and each batch of points one more.  Rows are written in
-    input order as their batch finishes.  In process a batch is one point,
-    which runs only after the previous row is flushed.
+    only those.  Constants go through one `submit`: a process pool's when
+    workers > 1, otherwise one that runs the call in this process.  Batches
+    of points then go through the pool's `map`, one task per batch, each
+    submitted once its points' constants are in; in process the built-in
+    `map` runs one point per batch, only after the previous row is flushed.
+    Rows are written in input order as their batch finishes.
     """
     out = Path(out_dir) if out_dir is not None else (Path(config.out) if config.out else None)
     if out is None:
@@ -272,7 +310,7 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> SweepRe
     result.jsonl_path = out / "results.jsonl"
     points = list(config.points())
     parallel = config.workers > 1 and len(points) > 1
-    batches = _batches(points, config.workers if parallel else 1)
+    batches = _batches(points, config, config.workers if parallel else 1)
 
     # Opening the outputs before any work fails fast on an unwritable directory.
     with open(result.csv_path, "w", newline="") as csv_f, open(
@@ -297,45 +335,41 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> SweepRe
                     mc_samples=config.samples, mc_seed=config.seed,
                 )
 
-        def queue(batch: List[Point]) -> Tuple[Dict[int, str], Future]:
-            """Submit a batch once its points' constants are in: the failure
-            text of each point whose constant failed, by its place in the
-            batch, and the future outcomes of the others."""
-            failed: Dict[int, str] = {}
-            jobs = []
-            for i, point in enumerate(batch):
+        def jobs(batch: List[Point]) -> List[Job]:
+            ready: List[Job] = []
+            for point in batch:
                 k, _, c = point
                 try:
                     ak, gamma = constants[("a_k", k)].result(), constants[("gamma", k, c)].result()
                 except Exception as exc:  # noqa: BLE001 - a failed constant
-                    failed[i] = _failure(exc)
+                    ready.append(_failure(exc))
                 else:
-                    jobs.append((point, ak, gamma))
-            try:
-                return failed, submit(_run_batch, jobs, config)
-            except Exception as exc:  # noqa: BLE001 - a broken pool
-                refused: Future = Future()
-                refused.set_exception(exc)
-                return failed, refused
+                    ready.append((point, ak, gamma))
+            return ready
 
-        # The pool gets every batch up front; in process they run one by one.
-        queued = list(map(queue, batches)) if parallel else map(queue, batches)
-        for batch, (failed, fut) in zip(batches, queued):
+        def outcomes() -> Iterator[Outcome]:
+            """Every point's outcome in input order; a broken pool fails
+            every point it has not yet returned."""
+            done = 0
             try:
-                ran = iter(fut.result())
-            except Exception as exc:  # noqa: BLE001 - a broken pool fails its batches
-                ran = itertools.repeat(_failure(exc))
-            for i, point in enumerate(batch):
-                outcome = failed[i] if i in failed else next(ran)
-                if isinstance(outcome, str):
-                    print(f"sweep point {point} failed: {outcome}", file=sys.stderr)
-                    result.failures.append((point, outcome))
-                    continue
-                result.records.append(outcome)
-                writer.writerow(_csv_row(outcome))
-                csv_f.flush()
-                jsonl_f.write(record_line(outcome))
-                jsonl_f.flush()
+                run = pool.map if parallel else map
+                for batch in run(_run_batch, map(jobs, batches), itertools.repeat(config)):
+                    for outcome in batch:
+                        done += 1
+                        yield outcome
+            except Exception as exc:  # noqa: BLE001 - a broken pool
+                yield from itertools.repeat(_failure(exc), len(points) - done)
+
+        for point, outcome in zip(points, outcomes(), strict=True):
+            if isinstance(outcome, str):
+                print(f"sweep point {point} failed: {outcome}", file=sys.stderr)
+                result.failures.append((point, outcome))
+                continue
+            result.records.append(outcome)
+            writer.writerow(_csv_row(outcome))
+            csv_f.flush()
+            jsonl_f.write(record_line(outcome))
+            jsonl_f.flush()
 
     return result
 

@@ -3,6 +3,7 @@
 import csv
 import re
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -253,11 +254,11 @@ def test_sweep_isolates_point_failures(tmp_path, capsys, workers):
     # which at workers = 2 is raised in a pool worker, inside a batch that
     # also holds good points
     cfg = SweepConfig(
-        k_list=(2,), d_list=(4, 10**9, 5, 7, 8, 9, 11, 12, 13), c_list=(1.5,), workers=workers,
+        k_list=(2,), d_list=(4, 5, 7, 8, 10**9, 9, 11, 12, 13), c_list=(1.5,), workers=workers,
     )
     bad = (2, 10**9, 1.5)
-    batch = next(b for b in tauvar.sweep._batches(list(cfg.points()), workers) if bad in b)
-    assert len(batch) == workers  # alone in process, beside (2, 4, 1.5) in the pool
+    batch = next(b for b in tauvar.sweep._batches(list(cfg.points()), cfg, workers) if bad in b)
+    assert len(batch) == workers  # alone in process, beside (2, 8, 1.5) in the pool
     res = run_sweep(cfg, out_dir=tmp_path / "fail")
     assert not res.ok
     assert len(res.failures) == 1 and len(res.records) == 8
@@ -373,10 +374,12 @@ def _gamma_failing_at_3_17(k, c, *args, **kwargs):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_isolates_a_failing_shared_constant(tmp_path, monkeypatch, workers):
-    # at workers = 2 the batches hold two points each, so (3, d, 1.3) and
-    # (3, d, 1.7) share one, and only the second may fail
+    # at workers = 2, (3, 4, 1.3) and (3, 4, 1.7) share a batch, and only
+    # the second may fail
     monkeypatch.setattr(tauvar.sweep, "gamma_eval", _gamma_failing_at_3_17)
     cfg = SweepConfig(**{**MC_GRID.__dict__, "workers": workers})
+    batches = tauvar.sweep._batches(list(cfg.points()), cfg, workers)
+    assert ([(3, 4, 1.3), (3, 4, 1.7)] in batches) == (workers == 2)
     res = run_sweep(cfg, out_dir=tmp_path)
     bad = [pt for pt in cfg.points() if pt[0] == 3 and pt[2] == 1.7]
     assert res.failures == [(pt, "RuntimeError: no gamma here") for pt in bad]
@@ -393,7 +396,8 @@ def test_parallel_sweep_submits_one_task_per_batch(tmp_path, monkeypatch):
 
     class CountingPool(ProcessPoolExecutor):
         def submit(self, fn, *args, **kwargs):
-            submitted.append(fn.__name__)
+            # map submits each batch as a partial of the pool's chunk runner
+            submitted.append(getattr(fn, "__name__", "map task"))
             return super().submit(fn, *args, **kwargs)
 
     monkeypatch.setattr(tauvar.sweep, "ProcessPoolExecutor", CountingPool)
@@ -403,7 +407,57 @@ def test_parallel_sweep_submits_one_task_per_batch(tmp_path, monkeypatch):
     constants = len(cfg.k_list) + len(cfg.k_list) * len(cfg.c_list)
     # one task per point would be 6 + 36
     assert len(submitted) <= constants + tauvar.sweep._BATCHES_PER_WORKER * cfg.workers
-    assert submitted.count("_run_batch") == len(tauvar.sweep._batches(list(cfg.points()), 2))
+    assert submitted.count("a_k_value") + submitted.count("gamma_eval") == constants
+    assert submitted.count("map task") == len(tauvar.sweep._batches(list(cfg.points()), cfg, 2))
+
+
+
+def test_broken_pool_fails_the_points_it_has_not_returned(tmp_path, monkeypatch):
+    class BreakingPool(ProcessPoolExecutor):
+        def map(self, fn, *iterables):
+            results = super().map(fn, *iterables)
+            yield next(results)
+            raise BrokenProcessPool("a worker died")
+
+    monkeypatch.setattr(tauvar.sweep, "ProcessPoolExecutor", BreakingPool)
+    cfg = SweepConfig(**{**MC_GRID.__dict__, "workers": 2})
+    first = tauvar.sweep._batches(list(cfg.points()), cfg, 2)[0]
+    res = run_sweep(cfg, out_dir=tmp_path)
+    assert [(r.k, r.d, r.c) for r in res.records] == first
+    rest = [pt for pt in cfg.points() if pt not in first]
+    assert res.failures == [(pt, "BrokenProcessPool: a worker died") for pt in rest]
+    assert len(read_records(res.jsonl_path)) == len(first)
+
+def test_parallel_batches_share_the_work_not_the_points():
+    # c-ladders at one d: X = d^c grows 5-7% a step, so equal counts of
+    # points would leave the last batches with most of the sieving
+    def ladder(k, c0, n):
+        c_list = tuple(c0 + 0.01 * i for i in range(n))
+        return SweepConfig(k_list=(k,), d_list=(1009,), c_list=c_list)
+
+    ladders = {"light": ladder(2, 1.4, 60), "heavy": ladder(3, 2.2, 71)}
+    for name, cfg in ladders.items():
+        points = list(cfg.points())
+        cost = {pt: 1009.0 ** pt[2] + tauvar.sweep._POINT_COST_X for pt in points}
+        for workers in (2, 3, 8):
+            batches = tauvar.sweep._batches(points, cfg, workers)
+            assert [pt for batch in batches for pt in batch] == points
+            share = sum(cost.values()) / (tauvar.sweep._BATCHES_PER_WORKER * workers)
+            unit = min(share, tauvar.sweep._BATCH_COST_X)
+            assert all(len(b) == 1 or sum(cost[pt] for pt in b) < 2 * unit for b in batches)
+            if name == "light":  # a few batches; one task per point gains nothing
+                assert len(batches) <= tauvar.sweep._BATCHES_PER_WORKER * workers
+            else:  # every point near or over the cap: one task each, as unbatched
+                assert len(batches) == len(points)
+    # a point that costs more than two shares runs alone; one over the sieve
+    # budget, which fails at once, costs no more than the small ones
+    cfg = SweepConfig(k_list=(3,), d_list=(4, 5, 7, 1009, 8, 9, 10**9, 11), c_list=(2.0,))
+    points = list(cfg.points())
+    batches = tauvar.sweep._batches(points, cfg, 2)
+    assert [(3, 1009, 2.0)] in batches
+    assert any(len(batch) > 1 and (3, 10**9, 2.0) in batch for batch in batches)
+    assert [pt for batch in batches for pt in batch] == points
+    assert len(tauvar.sweep._batches(points, cfg, 1)) == len(points)
 
 
 def test_sweep_requires_out_dir():
