@@ -283,6 +283,7 @@ def check_gamma_domain(k: int, c: float, method: str, samples: int, seed: int) -
     """Raise ValueError unless `method` can evaluate gamma_k(c) with these Monte
     Carlo settings: the one rule for gamma_eval, gamma_k_mc and sweep configs."""
     _check_gamma_method(method)
+    _check_k(k)
     if method == "simple":
         _check_simple_domain(k, c)
     elif method == "piecewise":

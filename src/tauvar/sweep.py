@@ -121,7 +121,8 @@ class SweepConfig:
     out: Optional[str] = None
 
     def __post_init__(self) -> None:
-        _check_point(min(self.d_list, default=1), self.cutoff, self.workers)
+        for d in self.d_list or (1,):
+            _check_point(d, self.cutoff, self.workers)
         _check_gamma_method(self.gamma_method)
         for k in self.k_list:
             for c in self.c_list:

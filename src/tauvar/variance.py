@@ -1,9 +1,9 @@
 """Variance of tau_k over reduced residue classes, three equivalent ways.
 
 The engine streams sieve segments once, accumulating for each unit class a
-mod d the weighted sum  S_a = sum_{n = a (d)} tau_k(n) omega(n)  with
-omega(n) = [n <= X] (sharp) or w(n/X) (smooth, w the bump on [1,2]).  The
-variance sum_a* |S_a - mean|^2 is then formed three ways:
+mod d the weighted sum  S_a = sum_{n = a (d)} tau_k(n) omega(n), omega the
+weight of the chosen cutoff (see `tauvar.weights`).  The variance
+sum_a* |S_a - mean|^2 is then formed three ways:
 
 - directly from the class deviations;
 - as (1/phi(d)) sum over nonprincipal characters of |sum_a chi(a) S_a|^2;
@@ -18,19 +18,16 @@ entries of conductor q (`CharacterGroup.primitive_powers`).  All three are
 exact algebra over the same class sums, so agreement to near machine
 precision is a strong check of the character machinery.
 
-The cutoff is decoded once per call into the weight every segment carries:
-the fixed bump normalized to int w^2 = 1 (`make_bump_weight`) for the smooth
-cutoff, and none for the sharp one, whose [n <= X] is the sieved range
-itself.  Each segment lays its n row by row in a (rows, d) grid, column j
-holding the n = j mod d, and walks it in blocks of whole rows of about 2^16
-cells.  It sieves tau_k in consecutive calls of whole blocks, about 2^20
-entries each, so one call's cells are alive at a time.  A block is cast
-into one reused buffer whose first row holds the running class sums, which
-carry from call to call, weighed there in place, if at all, and summed
-along its rows in order, so every class adds in ascending n, as over the
-whole grid.  Class sums are merged across segments in ascending order with
-Kahan compensation, which makes every result independent of the worker
-count.
+Each segment carries the cutoff's weight object over the n of its support
+and lays them row by row in a (rows, d) grid, column j holding the
+n = j mod d, and walks it in blocks of whole rows of about 2^16 cells.  It
+sieves tau_k in consecutive calls of whole blocks, about 2^20 entries each,
+so one call's cells are alive at a time.  A block is cast into one reused
+buffer whose first row holds the running class sums, which carry from call
+to call, weighed there in place by the weight object, and summed along its
+rows in order, so every class adds in ascending n, as over the whole grid.
+Class sums are merged across segments in ascending order with Kahan
+compensation, which makes every result independent of the worker count.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ from .arith import (
 )
 from .characters import CharacterGroup
 from .constants import PRIME_BOUND, ConstantValue, a_k_d, gamma_eval
-from .weights import make_bump_weight
+from .weights import _CUTOFFS
 
 __all__ = [
     "SIEVE_BUDGET",
@@ -75,8 +72,8 @@ __all__ = [
 # Largest number of sieve entries a single variance call may stream.
 SIEVE_BUDGET = 2**31
 
-# The cutoffs the class sums weigh n by: [n <= X], or w(n/X) with the bump w.
-CUTOFFS = ("sharp", "smooth")
+# The cutoffs the class sums weigh n by, named as in weights._CUTOFFS.
+CUTOFFS = tuple(_CUTOFFS)
 
 # Sieve entries per second, for cost estimates in error messages: the
 # median desk-probe.arith.sieve_mentries_per_s of the two traced runs of
@@ -111,8 +108,8 @@ class ClassSums:
 
 def _segment_task(args) -> np.ndarray:
     """Sums of one sieve segment over every residue class mod d, units or not,
-    each n weighed by weight(n / x), or by 1 when weight is None; top-level
-    so worker pools can pickle it.  The segment is summed in blocks of whole
+    each n weighed by the cutoff's weight object at X = x; top-level so
+    worker pools can pickle it.  The segment is summed in blocks of whole
     rows of about 2^16 cells, or one row of d cells when d is wider, and
     sieved in calls of whole blocks, about 2^20 entries, at least one block
     and at most the segment; a call's cells are dropped before the next."""
@@ -144,15 +141,7 @@ def _segment_task(args) -> np.ndarray:
             block[:d] = sums
             block[d + b - b_lo :] = 0.0  # the tail of the last row
             window = block[d + a - b_lo : d + b - b_lo]
-            vals = tau[a - first : b - first]
-            if weight is None:
-                window[:] = vals
-            else:
-                # y = n / x in the cells, w(y) in place, then times float(tau):
-                # bincount's product.  n < 2^33 under the budget, so y is exact.
-                np.divide(np.arange(a, b, dtype=np.float64), x, out=window)
-                weight.values(window, out=window)
-                window *= vals
+            weight.weigh(a, b, x, tau[a - first : b - first], window)
             # Summing the rows one after another adds each class in ascending n,
             # as bincount does; numpy would sum a lone column (d = 1) pairwise
             # instead, so that one takes the running sum.
@@ -161,7 +150,7 @@ def _segment_task(args) -> np.ndarray:
             else:
                 sums[0] = np.cumsum(block, out=block)[-1]
         # the next call's cells replace this one's rather than join them
-        del tau, vals
+        del tau
     return sums
 
 
@@ -175,21 +164,21 @@ def _check_point(d: int, cutoff: str, workers: int) -> None:
         raise ValueError(f"workers must be positive and an integer, got {workers}")
 
 
-def _class_sum_range(d: int, x: float, cutoff: str, workers: int) -> Tuple[int, int]:
-    """Check compute_class_sums' arguments, before any work, and return the
-    half-open range [lo, hi) of n that the cutoff weighs."""
+def _class_sum_range(d: int, x: float, cutoff: str, workers: int) -> Tuple[object, int, int]:
+    """Check compute_class_sums' arguments, before any work; return the cutoff's
+    weight object and [lo, hi), the n in (a X, b X] for its support (a, b]."""
     _check_point(d, cutoff, workers)
     if not (math.isfinite(x) and x >= 1.0):
         raise ValueError(f"X must be finite and >= 1, got {x}")
-    f = int(math.floor(x))
-    lo, hi = (1, f + 1) if cutoff == "sharp" else (f + 1, int(math.floor(2.0 * x)) + 1)
+    weight = _CUTOFFS[cutoff]()
+    lo, hi = (int(math.floor(s * x)) + 1 for s in weight.support)
     if hi - lo > SIEVE_BUDGET:
         est = (hi - lo) / _SIEVE_RATE
         raise ValueError(
             f"range of {hi - lo} entries exceeds the sieve budget {SIEVE_BUDGET} "
             f"(estimated {est:.0f} s of sieving); reduce X or raise SIEVE_BUDGET"
         )
-    return lo, hi
+    return weight, lo, hi
 
 
 def _point_x(d: int, c: float, cutoff: str, workers: int) -> float:
@@ -213,18 +202,15 @@ def compute_class_sums(
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
 ) -> ClassSums:
-    """Stream tau_k segments once and accumulate the per-class sums.
-
-    The smooth cutoff weighs n by w(n/X), w the fixed L2-normalized bump of
-    make_bump_weight(); the sharp cutoff by [n <= X].
+    """Stream tau_k segments once and accumulate the per-class sums, each n
+    of the cutoff's support weighed by its weight object (`tauvar.weights`).
 
     Windows of segment_size <= 2^22 entries may be sieved concurrently
     (workers > 1); partial class vectors are merged in ascending order with
     Kahan compensation, so the result is bit-identical for any worker count.
     """
     _check_window(segment_size)
-    lo, hi = _class_sum_range(d, x, cutoff, workers)
-    weight = make_bump_weight() if cutoff == "smooth" else None
+    weight, lo, hi = _class_sum_range(d, x, cutoff, workers)
     primes = primes_upto(math.isqrt(hi - 1))
     tasks = [
         (k, s_lo, min(s_lo + segment_size, hi), d, x, weight, primes)
@@ -249,7 +235,7 @@ def compute_class_sums(
         cutoff=cutoff,
         units=us,
         sums=acc[us],
-        weight_id=None if weight is None else weight.weight_id,
+        weight_id=weight.weight_id,
     )
 
 

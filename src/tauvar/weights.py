@@ -1,6 +1,11 @@
-"""Smooth cutoff weight on [1,2] and its numerical Mellin transform.
+"""The cutoff weights of the class sums, and the bump's numerical Mellin transform.
 
-The weight is the classical bump  w(y) = C * exp(-1/((y-1)(2-y)))  on (1,2),
+Each cutoff of the class sums is one object: `support`, the n it weighs as
+multiples of X, and `weigh`, which writes omega(n) tau_k(n) over a run of n.
+`_CUTOFFS` maps each name to the call that returns its object: sharp weighs
+(0, 1] by 1, smooth (1, 2] by w(n/X), w the bump of `make_bump_weight`.
+
+The bump is the classical one  w(y) = C * exp(-1/((y-1)(2-y)))  on (1,2),
 identically zero outside, with C fixed so that the L2 norm is 1.  Because w
 vanishes to infinite order at both endpoints, tanh-sinh quadrature (nodes
 clustered double-exponentially at the endpoints) converges at machine
@@ -38,9 +43,6 @@ _MIN_LEVEL = 6
 _MAX_LEVEL = 12
 _UMAX = 3.5
 
-# read-only node cache, built once per level
-_NODE_CACHE: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
 
 class ToleranceNotReached(RuntimeError):
     """Quadrature refinement exhausted; carries the best values and the
@@ -59,20 +61,17 @@ class TruncationInsufficient(RuntimeError):
     """Tail of a truncated t-integral exceeds the requested tolerance."""
 
 
+# read-only nodes and weights, built once per level
+@functools.cache
 def _tanh_sinh_nodes(level: int) -> Tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for int_1^2 f(x) dx, x = 1.5 + 0.5 tanh((pi/2) sinh u)."""
-    cached = _NODE_CACHE.get(level)
-    if cached is not None:
-        return cached
     h = _UMAX / (1 << level)
     u = np.arange(-(1 << level), (1 << level) + 1) * h
     su = 0.5 * math.pi * np.sinh(u)
     x = 1.5 + 0.5 * np.tanh(su)
     dx = 0.25 * math.pi * np.cosh(u) / np.cosh(su) ** 2 * h
     good = (x > 1.0) & (x < 2.0) & (dx > 0.0)
-    nodes = (x[good], dx[good])
-    _NODE_CACHE[level] = nodes
-    return nodes
+    return x[good], dx[good]
 
 
 @dataclass(frozen=True)
@@ -84,6 +83,7 @@ class SmoothWeight:
     """
 
     amplitude: float
+    support = (1, 2)
 
     def __call__(self, y: float) -> float:
         if not 1.0 < y < 2.0:  # NaN included, as in values()
@@ -115,6 +115,14 @@ class SmoothWeight:
             np.copyto(t, 0.0, where=np.logical_not(inside, out=inside))
         t *= self.amplitude
         return t
+
+    def weigh(self, lo: int, hi: int, x: float, tau: np.ndarray, out: np.ndarray) -> None:
+        """w(n / x) tau_k(n) for n in [lo, hi) into `out`, tau holding tau_k there."""
+        # y = n / x in the cells, w(y) in place, then times float(tau):
+        # bincount's product.  n < 2^33 under the sieve budget, so y is exact.
+        np.divide(np.arange(lo, hi, dtype=np.float64), x, out=out)
+        self.values(out, out=out)
+        out *= tau
 
     def scaled(self, factor: float) -> "SmoothWeight":
         return SmoothWeight(amplitude=self.amplitude * factor)
@@ -148,6 +156,20 @@ def make_bump_weight() -> SmoothWeight:
     later one returns that same frozen weight.
     """
     return SmoothWeight(amplitude=1.0 / math.sqrt(SmoothWeight(1.0).l2_norm_sq()))
+
+
+class _SharpCutoff:
+    """[n <= X]: every n of its support weighs 1, so no weight is evaluated."""
+
+    support = (0, 1)
+    weight_id = None
+
+    def weigh(self, lo: int, hi: int, x: float, tau: np.ndarray, out: np.ndarray) -> None:
+        out[:] = tau
+
+
+# make_bump_weight by its module name, so a wrapper put there sees every call
+_CUTOFFS = {"sharp": _SharpCutoff, "smooth": lambda: make_bump_weight()}
 
 
 def mellin_numeric(

@@ -183,6 +183,9 @@ def test_config_rejects_moduli_below_1():
         with pytest.raises(ValueError, match="modulus must be >= 1"):
             parse_config(f"k = 2\nd = {spec}\nc = 1.5\n")
     assert parse_config("k = 2\nd = 1,5\nc = 1.5\n").d_list == (1, 5)
+    # every d is checked, not only the least
+    with pytest.raises(ValueError, match="modulus must be >= 1 and an integer, got 7.5"):
+        SweepConfig(k_list=(2,), d_list=(5, 7.5), c_list=(1.5,))
 
 
 def test_parse_config_rejects_repeated_key():

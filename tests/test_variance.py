@@ -24,7 +24,7 @@ from tauvar.variance import (
     variance_direct,
     variance_primitive,
 )
-from tauvar.weights import make_bump_weight
+from tauvar.weights import _CUTOFFS, SmoothWeight, make_bump_weight
 
 
 def brute_variance(k, d, x, cutoff, perturb_outside_support=0):
@@ -158,11 +158,22 @@ def test_primitive_route_matches_per_q_groups_bit_for_bit(d, cutoff):
     assert variance_primitive(2, d, x, cutoff, class_sums=cs) == per_q_primitive_variance(cs)
 
 
-def test_class_sums_deterministic_across_workers():
-    a = compute_class_sums(3, 12, 3e4, "smooth", segment_size=2048, workers=1)
+@pytest.mark.parametrize("cutoff", CUTOFFS)
+def test_class_sums_deterministic_across_workers(cutoff):
+    # each cutoff's weight object crosses the pool to every segment
+    a = compute_class_sums(3, 12, 3e4, cutoff, segment_size=2048, workers=1)
     for workers in (2, 8):
-        b = compute_class_sums(3, 12, 3e4, "smooth", segment_size=2048, workers=workers)
+        b = compute_class_sums(3, 12, 3e4, cutoff, segment_size=2048, workers=workers)
         assert np.array_equal(a.sums, b.sums)
+
+
+def test_sharp_class_sums_evaluate_no_weight(monkeypatch):
+    # [n <= X] weighs every n of its support by 1: the bump is never evaluated
+    def never(*args, **kwargs):
+        raise AssertionError("the sharp cutoff evaluated a weight")
+
+    monkeypatch.setattr(SmoothWeight, "values", never)
+    assert compute_class_sums(2, 7, 1000.0, "sharp").weight_id is None
 
 
 def test_class_sums_independent_of_segment_size():
@@ -246,10 +257,11 @@ def test_experiment_checks_class_sum_arguments_before_its_constants(
 
 def bincount_class_sums(k, lo, hi, d, x, weight):
     """One window's class sums as np.bincount adds them: each unit class in
-    ascending n, starting from 0.0."""
+    ascending n, starting from 0.0, weighed by the bump for the smooth
+    cutoff's object and by 1 for the sharp one's."""
     vals = tau_k_segment(k, lo, hi).values
     n = np.arange(lo, hi, dtype=np.int64)
-    if weight is not None:
+    if isinstance(weight, SmoothWeight):
         vals = vals * weight.values(n / x)
     us = units(d)
     unit_index = np.full(d, -1, dtype=np.int64)
@@ -268,13 +280,13 @@ def bincount_class_sums(k, lo, hi, d, x, weight):
         st.sampled_from([1, 2, 3, 4, 12, 97, 210, 1009, 2310]),  # d = 1, prime, composite
         st.integers(3001, 10**5),  # larger than any window
     ),
-    cutoff=st.sampled_from(["sharp", "smooth"]),
+    cutoff=st.sampled_from(CUTOFFS),
     x_frac=st.floats(0.55, 1.05),
 )
 def test_segment_class_sums_match_bincount_bit_for_bit(k, lo, width, d, cutoff, x_frac):
     # smooth: x near lo puts n / x across the bump's support on most windows
     x = max(1.0, lo * x_frac)
-    weight = make_bump_weight() if cutoff == "smooth" else None
+    weight = _CUTOFFS[cutoff]()
     task = (k, lo, lo + width, d, x, weight, None)
     part = _segment_task(task)[units(d)]
     assert np.array_equal(part, bincount_class_sums(k, lo, lo + width, d, x, weight))
@@ -316,7 +328,7 @@ def test_segment_class_sums_over_row_blocks_match_bincount(d, place):
     lo = 10**7 // d * d + (d + 1) // 2
     width = 3 * block + block // 2 + 5
     hi = lo + width
-    weight = None if place == "sharp" else make_bump_weight()
+    weight = _CUTOFFS["sharp" if place == "sharp" else "smooth"]()
     if place in ("sharp", "inside"):
         x = (lo + hi - 1) / 3  # every n / x in (1, 2)
     elif place == "crosses 1":
@@ -352,7 +364,7 @@ def test_segment_class_sums_over_sieve_calls_match_bincount(d, place):
     lo = 10**7 // d * d + (d + 1) // 2
     width = 2**21 + 1000
     hi = lo + width
-    weight = None if place == "sharp" else make_bump_weight()
+    weight = _CUTOFFS["sharp" if place == "sharp" else "smooth"]()
     x = (lo + hi - 1) / 3 if place in ("sharp", "inside") else (lo + width / 2 + 0.3) / 2
     part = _segment_task((3, lo, hi, d, x, weight, None))[units(d)]
     assert np.array_equal(part, bincount_class_sums(3, lo, hi, d, x, weight))
@@ -375,9 +387,13 @@ def test_segment_class_sums_sieve_in_calls(d):
     assert peak / n <= 4
 
 
-def test_class_sums_sieve_every_entry_once(monkeypatch):
+@pytest.mark.parametrize("x", [1.3e6, 1300000.5, 1.5])
+@pytest.mark.parametrize("cutoff", CUTOFFS)
+def test_class_sums_sieve_every_entry_once(monkeypatch, cutoff, x):
     # Every summed entry goes through tau_k_segment, in ascending calls that
-    # tile [lo, hi) exactly, whatever the window and the call size.
+    # tile [lo, hi) exactly, whatever the window and the call size: n <= X
+    # for the sharp cutoff and X < n <= 2X for the smooth one, at integer
+    # and half-integer X.
     calls = []
 
     def recording(k, lo, hi, **kwargs):
@@ -385,11 +401,10 @@ def test_class_sums_sieve_every_entry_once(monkeypatch):
         return tau_k_segment(k, lo, hi, **kwargs)
 
     monkeypatch.setattr(variance, "tau_k_segment", recording)
-    x = 1.3e6
-    lo, hi = int(x) + 1, int(2 * x) + 1
+    lo, hi = {"sharp": (1, int(x) + 1), "smooth": (int(x) + 1, int(2 * x) + 1)}[cutoff]
     for segment_size in (DEFAULT_SEGMENT_SIZE, 300_000):
         calls.clear()
-        compute_class_sums(3, 1009, x, "smooth", segment_size=segment_size)
+        compute_class_sums(3, 1009, x, cutoff, segment_size=segment_size)
         assert calls[0][0] == lo and calls[-1][1] == hi
         assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
         assert sum(b - a for a, b in calls) == hi - lo
@@ -440,6 +455,10 @@ def test_gamma_eval_domains():
         gamma_eval(2, 1.5, "piecewise")
     with pytest.raises(ValueError):
         gamma_eval(3, 2.5, "nope")
+    # a non-integer k used to reach factorial() in gamma_k_mc, or be evaluated
+    for k, c, method in ((2.0, 1.5, "mc"), (2.5, 1.5, "mc"), (3.0, 0.5, "piecewise")):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            gamma_eval(k, c, method)
 
 
 def test_main_term_k1_collapses_to_phi_over_d():
