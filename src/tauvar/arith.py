@@ -101,9 +101,6 @@ class Factorization:
     n: int
     factors: Tuple[Tuple[int, int], ...]
 
-    def primes(self) -> Tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
 
 @dataclass(frozen=True)
 class TauSegment:
@@ -119,11 +116,14 @@ class TauSegment:
 _INTEGERS = (int, np.integer)
 
 
-def _check_k(k: int) -> None:
+def _check_k(k: int) -> int:
+    """The rule for k, which it returns as a Python int: numpy's power would
+    round a numpy integer k's floats differently from the equal int's."""
     if not isinstance(k, _INTEGERS) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     if k > MAX_K:
         raise ValueError(f"k = {k} exceeds the supported bound {MAX_K}")
+    return int(k)
 
 
 def factorize(n: int) -> Factorization:
@@ -133,7 +133,7 @@ def factorize(n: int) -> Factorization:
     6m+-1 wheel; adequate for the moduli and bounds this package targets,
     not for cryptographic-size inputs.
     """
-    if not isinstance(n, (int, np.integer)):
+    if not isinstance(n, _INTEGERS):
         raise ValueError(f"n must be an integer, got {type(n).__name__}")
     n = int(n)
     if n < 1:

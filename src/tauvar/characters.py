@@ -132,11 +132,6 @@ def _conductor_grid(comps: Sequence[_Component]) -> np.ndarray:
     return reduce(np.lcm.outer, needs, np.ones((), dtype=np.int64))
 
 
-def _is_primitive(p: int, e: int, comps: Sequence[_Component]) -> np.ndarray:
-    """Whether each character of the factors mod p^e has conductor p^e."""
-    return _conductor_grid(comps) == p**e
-
-
 def _outer_and(masks) -> np.ndarray:
     """The outer AND of per-prime masks: true where every factor's entry is."""
     return reduce(np.logical_and.outer, masks, np.ones((), dtype=bool))
@@ -259,11 +254,11 @@ class CharacterGroup:
         # per p^e || d, one level per f = 0..e: (p^f, orders, logs, primitive mask)
         levels = []
         for p, e, comps in self._parts:
-            level = [(1, (), [], _is_primitive(p, 0, []))]
-            for f in range(2 if p == 2 else 1, e + 1):  # no primitive character mod 2
+            level = []
+            for f in (0, *range(2 if p == 2 else 1, e + 1)):  # no primitive character mod 2
                 cs = comps if f == e else _prime_power_components(p, f)
-                logs = _logs(cs, residues)
-                level.append((p**f, tuple(c.order for c in cs), logs, _is_primitive(p, f, cs)))
+                primitive = _conductor_grid(cs) == p**f
+                level.append((p**f, tuple(c.order for c in cs), _logs(cs, residues), primitive))
             levels.append(level)
         self._check_units(residues, [lv for level in levels for part in level for lv in part[2]])
         out = {}
@@ -284,9 +279,8 @@ class CharacterGroup:
 
     @cached_property
     def primitive(self) -> np.ndarray:
-        """Whether each character is primitive, on the exponent grid: the
-        outer AND over p^e || d of the conductor's p-part being p^e."""
-        return _outer_and(_is_primitive(p, e, cs) for p, e, cs in self._parts)
+        """Whether each character is primitive (conductor d), on the exponent grid."""
+        return self.conductors == self.d
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"CharacterGroup(d={self.d}, orders={self.orders})"

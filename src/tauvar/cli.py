@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import List, Optional
 
 from ._version import __version__
@@ -114,19 +114,7 @@ def _cmd_constants(args) -> int:
 
 def _cmd_gamma(args) -> int:
     val = gamma_eval(args.k, args.c, args.gamma_method, mc_samples=args.samples, mc_seed=args.seed)
-    print(
-        json.dumps(
-            {
-                "k": args.k,
-                "c": args.c,
-                "method": val.method,
-                "value": val.value,
-                "error_estimate": val.error_estimate,
-                "params": val.params,
-            },
-            sort_keys=True,
-        )
-    )
+    print(json.dumps({"k": args.k, "c": args.c, **asdict(val)}, sort_keys=True))
     return 0
 
 

@@ -32,7 +32,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .arith import _L2, _check_k, _check_modulus, divisors, euler_phi, factorize, phi_star, primes_upto
+from .arith import _INTEGERS, _L2, _check_k, _check_modulus, divisors, euler_phi, factorize, phi_star, primes_upto
 from .specfun import barnes_g
 
 __all__ = [
@@ -73,7 +73,7 @@ class ConstantValue:
     """A computed constant with method tag, error estimate and provenance."""
 
     value: float
-    method: str  # euler-product | closed-form | monte-carlo | piecewise | quadrature
+    method: str  # euler-product | closed-form | monte-carlo | piecewise
     error_estimate: float
     params: Dict[str, object] = field(default_factory=dict)
 
@@ -93,7 +93,7 @@ def local_factor(k: int, p: int, s: float = 1.0, exact: bool = False):
     s = 1 is the value entering a_k(d); integer s with exact=True returns a
     Fraction.  local_factor_series is the independent direct-series route.
     """
-    _check_k(k)
+    k = _check_k(k)
     _require_prime(p)
     if exact:
         if s != int(s):
@@ -113,7 +113,7 @@ def local_factor_series(k: int, p: int, s: float = 1.0) -> float:
     is below a geometric bound; truncation stops once that bound is a
     _SERIES_REL_TAIL fraction of the partial sum.
     """
-    _check_k(k)
+    k = _check_k(k)
     _require_prime(p)
     ps = float(p) ** s
     total = 0.0
@@ -138,7 +138,7 @@ def a_k_value(k: int, prime_bound: int = PRIME_BOUND) -> ConstantValue:
     log of the omitted product by k^4 * sum_{p > bound} p^-2 <= k^4 / bound.
     Every other caller takes PRIME_BOUND; the verify suites and tests vary it.
     """
-    _check_k(k)
+    k = _check_k(k)
     if prime_bound < 10**3:
         raise ValueError(f"prime_bound must be >= 1000, got {prime_bound}")
     if k == 1:
@@ -279,11 +279,12 @@ def _check_gamma_method(method: str) -> None:
         raise ValueError(f"unknown gamma method {method!r}; use one of {', '.join(GAMMA_METHODS)}")
 
 
-def check_gamma_domain(k: int, c: float, method: str, samples: int, seed: int) -> None:
+def check_gamma_domain(k: int, c: float, method: str, samples: int, seed: int) -> int:
     """Raise ValueError unless `method` can evaluate gamma_k(c) with these Monte
-    Carlo settings: the one rule for gamma_eval, gamma_k_mc and sweep configs."""
+    Carlo settings: the one rule for gamma_eval, gamma_k_mc and sweep configs.
+    Returns k as `_check_k` does."""
     _check_gamma_method(method)
-    _check_k(k)
+    k = _check_k(k)
     if method == "simple":
         _check_simple_domain(k, c)
     elif method == "piecewise":
@@ -297,21 +298,22 @@ def check_gamma_domain(k: int, c: float, method: str, samples: int, seed: int) -
         if not (0.0 < c < float(k)):
             raise ValueError(f"c = {c} outside (0, {k})")
         for name, value in (("samples", samples), ("seed", seed)):
-            if not isinstance(value, (int, np.integer)):
+            if not isinstance(value, _INTEGERS):
                 raise ValueError(f"{name} = {value!r} is not an integer")
         if k == 1:
-            return  # gamma_1 = 1 on (0, 1) takes no samples
+            return k  # gamma_1 = 1 on (0, 1) takes no samples
         if samples < _MC_MIN_SAMPLES:
             raise ValueError(f"samples = {samples} below the floor {_MC_MIN_SAMPLES}")
         if not 0 <= seed < 1 << 64:
             raise ValueError(f"seed = {seed} outside the Philox key range 0..2^64 - 1")
+    return k
 
 
 def gamma_eval(
     k: int, c: float, method: str = "simple", *, mc_samples: int = 10**6, mc_seed: int = 1
 ) -> ConstantValue:
     """gamma_k(c) by the requested method, with provenance."""
-    check_gamma_domain(k, c, method, mc_samples, mc_seed)
+    k = check_gamma_domain(k, c, method, mc_samples, mc_seed)
     if method == "simple":
         return ConstantValue(gamma_k_simple(k, c), "closed-form", 0.0, {})
     if method == "piecewise":
@@ -334,7 +336,7 @@ def gamma_k_mc(k: int, c: float, samples: int, seed: int) -> ConstantValue:
     stream in order, so the result is bit-reproducible and the memory is
     bounded whatever the sample count.
     """
-    check_gamma_domain(k, c, "mc", samples, seed)
+    k = check_gamma_domain(k, c, "mc", samples, seed)
     if k == 1:
         # empty Vandermonde: gamma_1 = 1 on (0,1), no sampling needed
         return ConstantValue(1.0, "monte-carlo", 0.0, {"samples": 0, "seed": seed})

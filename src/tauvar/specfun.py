@@ -18,6 +18,8 @@ from typing import Union
 
 import numpy as np
 
+from .arith import _INTEGERS
+
 __all__ = ["log_gamma", "gamma_ratio", "barnes_g"]
 
 _POLE_TOL = 1e-8
@@ -61,7 +63,7 @@ def gamma_ratio(s: Union[complex, np.ndarray], parity: int) -> Union[complex, np
 
 def barnes_g(m: int) -> int:
     """Barnes G at a positive integer: G(m) = prod_{j=1}^{m-2} j!, G(1)=G(2)=1."""
-    if not isinstance(m, int) or m < 1:
+    if not isinstance(m, _INTEGERS) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
     if m > 30:
         raise ValueError(f"m = {m} exceeds the supported bound 30")

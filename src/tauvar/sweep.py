@@ -77,13 +77,14 @@ SCHEMA_VERSION = 1
 # spread over many points.
 _BATCHES_PER_WORKER = 4
 
-# A point's fixed cost (its report, a_k's local factors, the pool hop) in
-# sieve entries: about 0.7 ms, the time to sieve 3*10^4 entries on one core.
+# Costs are in class-sum entries (sieve, weight and accumulation), about
+# 4.5e7/s on one core, not variance._SIEVE_RATE's raw sieve rate.  A point's
+# fixed cost (its report, a_k's local factors, the pool hop): about 0.7 ms.
 _POINT_COST_X = 2**15
 
-# The most work worth one batch, in sieve entries: about 0.1 s, beside which
-# a pool round trip (under 1 ms) is lost.  Dearer batches save nothing and
-# only coarsen how the workers share the work.
+# The most work worth one batch: about 0.1 s, beside which a pool round trip
+# (under 1 ms) is lost.  Dearer batches save nothing and only coarsen how the
+# workers share the work.
 _BATCH_COST_X = 2**22
 
 Point = Tuple[int, int, float]
@@ -262,7 +263,7 @@ def _run_batch(jobs: List[Job], config: SweepConfig) -> List[Outcome]:
 
 
 def _point_cost(point: Point, cutoff: str) -> float:
-    """A point's estimated work in sieve entries: X plus its fixed cost.  A
+    """A point's estimated work in class-sum entries: X plus its fixed cost.  A
     point that fails its checks costs only the fixed part."""
     _, d, c = point
     try:

@@ -46,6 +46,7 @@ from .arith import (
     _INTEGERS,
     _L2,
     DEFAULT_SEGMENT_SIZE,
+    _check_k,
     _check_modulus,
     _check_window,
     primes_upto,
@@ -170,6 +171,10 @@ def _class_sum_range(d: int, x: float, cutoff: str, workers: int) -> Tuple[objec
     _check_point(d, cutoff, workers)
     if not (math.isfinite(x) and x >= 1.0):
         raise ValueError(f"X must be finite and >= 1, got {x}")
+    # Built here, in the argument check, so the bump is cached in the main
+    # process before a sweep's pool forks: a worker inherits it (0.03 ms)
+    # rather than building it cold (1.9 ms).  Reading the support unbuilt
+    # saved 0.5 MB of main-process RSS but slowed sweep-mc.
     weight = _CUTOFFS[cutoff]()
     lo, hi = (int(math.floor(s * x)) + 1 for s in weight.support)
     if hi - lo > SIEVE_BUDGET:
@@ -209,6 +214,7 @@ def compute_class_sums(
     (workers > 1); partial class vectors are merged in ascending order with
     Kahan compensation, so the result is bit-identical for any worker count.
     """
+    _check_k(k)
     _check_window(segment_size)
     weight, lo, hi = _class_sum_range(d, x, cutoff, workers)
     primes = primes_upto(math.isqrt(hi - 1))
@@ -397,6 +403,7 @@ def experiment(
     """
     start = time.perf_counter()
     x = _point_x(d, c, cutoff, workers)
+    k = _check_k(k)
     gamma = gamma_eval(k, c, gamma_method, mc_samples=mc_samples, mc_seed=mc_seed)
     akd = a_k_d(k, d)
     return _report(k, d, c, x, cutoff, gamma_method, akd, gamma, workers, start)

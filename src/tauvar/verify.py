@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
@@ -79,12 +79,7 @@ class SuiteReport:
         )
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "elapsed_s": self.elapsed_s,
-            "checks": [c.__dict__ for c in self.checks],
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _suite_orthogonality() -> SuiteReport:

@@ -216,6 +216,15 @@ def test_gamma_k_mc_needs_integer_samples_and_seed():
     assert gamma_k_mc(3, 2.5, np.int64(10**4), np.uint64(1)) == gamma_k_mc(3, 2.5, 10**4, 1)
 
 
+def test_gamma_eval_takes_a_numpy_integer_k():
+    # barnes_g used to refuse the np.int64 that the k rule had accepted
+    for method, c in (("mc", 1.5), ("simple", 2.5), ("piecewise", 1.5)):
+        got = gamma_eval(np.int64(3), c, method, mc_samples=10**4)
+        assert repr(got) == repr(gamma_eval(3, c, method, mc_samples=10**4))
+    for s in (1.0, 2.0):
+        assert local_factor(np.int64(2), 101, s).hex() == local_factor(2, 101, s).hex()
+
+
 def test_gamma_k_mc_seed_is_a_philox_key():
     # the seed is one uint64 word of the Philox key; 2^64 used to pass the
     # domain rule and then overflow in np.uint64

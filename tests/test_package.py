@@ -1,6 +1,8 @@
-"""Package surface: every name a module exports exists, and importing the
-package leaves scipy unloaded until an analytic function needs it."""
+"""Package surface: every name a module exports exists, importing the package
+leaves scipy unloaded until an analytic function needs it, and the sources
+keep one integer rule and parse at the declared Python floor."""
 
+import ast
 import importlib
 import json
 import pkgutil
@@ -63,3 +65,27 @@ def test_benchmark_traced_targets_exist(monkeypatch):
     assert len(targets) == 18
     missing = [f"{t.owner.__name__}.{t.attr}" for t in targets if t.attr not in vars(t.owner)]
     assert not missing, f"benchmark traces {missing}, which do not exist"
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_integer_rule_has_one_owner():
+    # arith._INTEGERS is the one test for an integer argument
+    hits = [
+        (path.name, n)
+        for path in sorted((_ROOT / "src" / "tauvar").glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), start=1)
+        if "np.integer" in line
+    ]
+    assert [name for name, _ in hits] == ["arith.py"], hits
+    assert "_INTEGERS = (int, np.integer)" in (_ROOT / "src" / "tauvar" / "arith.py").read_text()
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10
+    assert 'requires-python = ">=3.10"' in (_ROOT / "pyproject.toml").read_text()
+    paths = sorted((_ROOT / "src" / "tauvar").glob("*.py")) + sorted((_ROOT / "perfbench").glob("*.py"))
+    assert len(paths) > 15
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -82,6 +82,8 @@ def test_barnes_g_values():
     assert barnes_g(4) == 2  # 2! 1!
     assert barnes_g(5) == 12  # 3! 2! 1!
     assert barnes_g(6) == 288
+    # a numpy integer is an integer, as everywhere else in the package
+    assert barnes_g(np.int64(4)) == 2 and barnes_g(np.int64(5)) == 12
     with pytest.raises(ValueError):
         barnes_g(0)
     with pytest.raises(ValueError):

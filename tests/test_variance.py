@@ -222,6 +222,27 @@ def test_class_sums_reject_bad_x():
             compute_class_sums(3, 7, x, "smooth")
 
 
+def test_class_sums_check_k_before_any_work(monkeypatch):
+    # k = 17 used to start the pool and raise only inside the first segment
+    def never(*args, **kwargs):
+        raise AssertionError("work started before k was checked")
+
+    monkeypatch.setattr(variance, "ProcessPoolExecutor", never)
+    monkeypatch.setattr(variance, "primes_upto", never)
+    for k in (17, 2.0, 0):
+        with pytest.raises(ValueError, match="k "):
+            compute_class_sums(k, 12, 1e7, "smooth", workers=2)
+
+
+def test_experiment_takes_a_numpy_integer_k():
+    # a numpy k used to fail in barnes_g, and to round a_k(d) through numpy's power
+    got = experiment(np.int64(2), 101, 1.5, "sharp", "mc", mc_samples=10**4).to_dict()
+    want = experiment(2, 101, 1.5, "sharp", "mc", mc_samples=10**4).to_dict()
+    for report in (got, want):
+        del report["wall_time_s"]
+    assert repr(got) == repr(want)
+
+
 def test_class_sums_reject_nonpositive_workers():
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers must be positive"):
