@@ -158,7 +158,7 @@ class CharacterGroup:
     """The character group mod d with fixed, reproducible generator choices."""
 
     def __init__(self, d: int):
-        _check_modulus(d)
+        d = _check_modulus(d)
         if d > MAX_MODULUS:
             raise ValueError(
                 f"modulus {d} exceeds the discrete-log table bound {MAX_MODULUS}; "

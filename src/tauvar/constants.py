@@ -18,7 +18,9 @@ stream keyed by (seed, chunk index), so (k, c, samples, seed) fix every bit.
 A chunk is evaluated in blocks of about 2^14 points whose arrays fit one
 core's L2; blocks read the chunk's stream in order, and each cell's mean and
 variance land in per-chunk arrays that are summed once per chunk, so the
-block size changes no bit and no array grows with the sample count.
+block size changes no bit and no array grows with the sample count.  The
+draws do not depend on c, so one pass draws each block once for every c of
+a sweep.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -163,7 +165,7 @@ def a_k_d(k: int, d: int) -> ConstantValue:
 def _drop_local_factors(ak: ConstantValue, k: int, d: int) -> ConstantValue:
     """a_k(d) from an evaluated a_k, so callers that share a_k across d
     (the sweep, convolution_compare) divide out the same factors as a_k_d."""
-    _check_modulus(d)
+    d = _check_modulus(d)
     scale = 1.0
     for p, _ in factorize(d).factors:
         scale /= local_factor(k, p)
@@ -310,15 +312,18 @@ def check_gamma_domain(k: int, c: float, method: str, samples: int, seed: int) -
 
 
 def gamma_eval(
-    k: int, c: float, method: str = "simple", *, mc_samples: int = 10**6, mc_seed: int = 1
+    k: int, c: float, method: str = "simple", *, mc_samples: int = 10**6, mc_seed: int = 1,
+    _mc_pass: Optional[Dict[float, ConstantValue]] = None,
 ) -> ConstantValue:
-    """gamma_k(c) by the requested method, with provenance."""
+    """gamma_k(c) by the requested method, with provenance.  Under mc, a
+    _gamma_mc_pass already made at these settings over c among others (a
+    sweep's, one per k) is read rather than made again."""
     k = check_gamma_domain(k, c, method, mc_samples, mc_seed)
     if method == "simple":
         return ConstantValue(gamma_k_simple(k, c), "closed-form", 0.0, {})
     if method == "piecewise":
         return ConstantValue(GAMMA3_PIECEWISE.eval_float(float(c)), "piecewise", 0.0, {})
-    return gamma_k_mc(k, c, mc_samples, mc_seed)
+    return gamma_k_mc(k, c, mc_samples, mc_seed) if _mc_pass is None else _mc_pass[c]
 
 
 def gamma_k_mc(k: int, c: float, samples: int, seed: int) -> ConstantValue:
@@ -334,12 +339,24 @@ def gamma_k_mc(k: int, c: float, samples: int, seed: int) -> ConstantValue:
     per chunk) and each chunk's Philox key (seed, chunk index) are fixed by
     (k, samples, seed); blocks of about _MC_BLOCK points read each chunk's
     stream in order, so the result is bit-reproducible and the memory is
-    bounded whatever the sample count.
+    bounded whatever the sample count.  It is the one-c case of
+    _gamma_mc_pass, which a sweep makes once per k for all its c.
     """
-    k = check_gamma_domain(k, c, "mc", samples, seed)
+    return _gamma_mc_pass(k, (c,), samples, seed)[c]
+
+
+def _gamma_mc_pass(
+    k: int, cs: Sequence[float], samples: int, seed: int
+) -> Dict[float, ConstantValue]:
+    """gamma_k_mc(k, c, samples, seed) for every c of cs, from one pass over
+    the chunks' Philox streams.  The draws and the cells' coordinates do not
+    depend on c, so each block is drawn once and each c runs its own
+    operations on it in gamma_k_mc's order, which keeps every c's bits."""
+    for c in cs:
+        k = check_gamma_domain(k, c, "mc", samples, seed)
     if k == 1:
         # empty Vandermonde: gamma_1 = 1 on (0,1), no sampling needed
-        return ConstantValue(1.0, "monte-carlo", 0.0, {"samples": 0, "seed": seed})
+        return {c: ConstantValue(1.0, "monte-carlo", 0.0, {"samples": 0, "seed": seed}) for c in cs}
     dim = k - 1
     norm = 1.0 / (factorial(k) * barnes_g(k + 1) ** 2)
     m = max(1, int(round((samples / 256.0) ** (1.0 / dim))))
@@ -347,17 +364,17 @@ def gamma_k_mc(k: int, c: float, samples: int, seed: int) -> ConstantValue:
     n_c = max(2, -(-samples // ncells))
     cells_chunk = max(1, (1 << 21) // (n_c * k))
     cells_block = max(1, _MC_BLOCK // n_c)
-    mean_acc = 0.0
-    var_acc = 0.0
+    mean_acc = [0.0] * len(cs)
+    var_acc = [0.0] * len(cs)
     n_chunks = 0
     for start in range(0, ncells, cells_chunk):
         stop = min(start + cells_chunk, ncells)
         rng = np.random.Generator(
             np.random.Philox(key=(np.uint64(seed), np.uint64(n_chunks)))
         )
-        # per-cell means and variances, summed once per chunk
-        means = np.empty(stop - start)
-        variances = np.empty(stop - start)
+        # per-cell means and variances, one row per c, summed once per chunk
+        means = np.empty((len(cs), stop - start))
+        variances = np.empty((len(cs), stop - start))
         for lo in range(start, stop, cells_block):
             hi = min(lo + cells_block, stop)
             u = rng.random((hi - lo, n_c, dim))
@@ -368,29 +385,31 @@ def gamma_k_mc(k: int, c: float, samples: int, seed: int) -> ConstantValue:
                 for axis in range(dim)
             ]
             # added left to right: the order is part of the estimator's bits
-            w_last = c - sum(w[1:], w[0])
-            # y = d * d >= +0, so times the 0/1 indicator it is +0.0 off the slice
-            y = _vandermonde_sq(w + [w_last])
-            y *= (w_last >= 0.0) & (w_last <= 1.0)
-            y.mean(axis=1, out=means[lo - start : hi - start])
-            y.var(axis=1, ddof=1, out=variances[lo - start : hi - start])
-        mean_acc += float(means.sum())
-        var_acc += float((variances / n_c).sum())
+            w_sum = sum(w[1:], w[0])
+            for i, c in enumerate(cs):
+                w_last = c - w_sum
+                # y = d * d >= +0, so times the 0/1 indicator it is +0.0 off the slice
+                y = _vandermonde_sq(w + [w_last])
+                y *= (w_last >= 0.0) & (w_last <= 1.0)
+                y.mean(axis=1, out=means[i, lo - start : hi - start])
+                y.var(axis=1, ddof=1, out=variances[i, lo - start : hi - start])
+        for i in range(len(cs)):
+            mean_acc[i] += float(means[i].sum())
+            var_acc[i] += float((variances[i] / n_c).sum())
         n_chunks += 1
-    value = norm * mean_acc / ncells
-    stderr = norm * math.sqrt(var_acc) / ncells
-    return ConstantValue(
-        value,
-        "monte-carlo",
-        stderr,
-        {
-            "samples": ncells * n_c,
-            "requested": samples,
-            "seed": seed,
-            "strata_per_dim": m,
-            "chunks": n_chunks,
-        },
-    )
+    params = {
+        "samples": ncells * n_c,
+        "requested": samples,
+        "seed": seed,
+        "strata_per_dim": m,
+        "chunks": n_chunks,
+    }
+    return {
+        c: ConstantValue(
+            norm * mean / ncells, "monte-carlo", norm * math.sqrt(var) / ncells, dict(params)
+        )
+        for c, mean, var in zip(cs, mean_acc, var_acc)
+    }
 
 
 def g_k(k: int) -> Fraction:
@@ -421,7 +440,7 @@ def convolution_compare(k: int, d: int) -> Tuple[float, float, float]:
     1/d), so they are returned as (lhs, rhs, relative gap) with no equality
     assertion.
     """
-    _check_modulus(d)
+    d = _check_modulus(d)
     qs = divisors(d)
     if len(qs) > 10**4:
         raise ValueError(f"d = {d} has too many divisors for the comparison")

@@ -8,22 +8,27 @@ the CSV byte for byte apart from the runtime column, regardless of worker
 count.
 
 The main term's constants do not depend on d: gamma_k(c) depends on (k, c)
-only and a_k on k only.  Each sweep evaluates them once per distinct key of
-its points, as futures, and builds every point's report from the shared
-values with the same builder as experiment(), so each record equals
-experiment() at that point in every field but wall_time_s.  Constants take
-one path whatever the worker count: a single `submit` that is the process
-pool's when workers > 1, and otherwise runs the call in process and returns
-a finished future.  Points take the pool's `map`, or the built-in one in
-process, over batches: contiguous runs of about one unit of estimated work,
-the lesser of _BATCH_COST_X and a 1/_BATCHES_PER_WORKER share of a worker's
-part.  A sweep of cheap points thus makes a few pool round trips rather than
-one per point, while dear points keep one task each, so the workers still
-share the work evenly.  In process each batch is one point.  A point whose constant failed
-carries that failure in its batch and fails alone.  A record's runtime_s
-(wall_time_s) is that point's own time, without the shared constants.  Each
-sweep evaluates its constants again; only the bump weight, built once per
-process, outlives a sweep.
+only and a_k on k only.  Each sweep evaluates them once per k of its points,
+as two futures: a_k, and gamma_k at every c of the sweep, where under mc one
+Monte Carlo pass serves every c, as its draws do not depend on c.  It builds
+every point's report from the shared values with the same builder as
+experiment(), so each record equals experiment() at that point in every
+field but wall_time_s.  Constants take one path whatever the worker count: a
+single `submit` that is the process pool's when workers > 1, and otherwise
+runs the call in process and returns a finished future.  Points take the
+pool's `map`, or the built-in one in process, over batches: contiguous runs
+of about one unit of estimated work, the lesser of _BATCH_COST_X and a
+1/_BATCHES_PER_WORKER share of a worker's part.  A sweep of cheap points
+thus makes a few pool round trips rather than one per point, while dear
+points keep one task each, so the workers still share the work evenly.  A
+batch sieves tau_k once per k over the union of its points' windows, when
+that union is narrow and dense enough (_batch_sieves), and each point slices
+its window from it.  In process each batch is one point, sieved alone.  A
+point whose constant failed carries that failure in its batch and fails
+alone.  A record's runtime_s (wall_time_s) is that point's own time, without
+the shared constants or its batch's shared sieve.  Each sweep evaluates its
+constants again; only the bump weight, built once per process, outlives a
+sweep.
 
 Configuration files are flat "key = value" text (diff-friendly provenance):
 
@@ -51,12 +56,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
-from .arith import primes_upto
+from .arith import TauSegment, primes_upto, tau_k_segment
 from .constants import (
-    ConstantValue, _check_gamma_method, _drop_local_factors, a_k_value, check_gamma_domain,
-    gamma_eval,
+    ConstantValue, _check_gamma_method, _drop_local_factors, _gamma_mc_pass, a_k_value,
+    check_gamma_domain, gamma_eval,
 )
-from .variance import VarianceReport, _check_point, _point_x, _report
+from .variance import _CALL, VarianceReport, _check_point, _class_sum_range, _point_x, _report
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -237,26 +242,76 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _gammas(k: int, config: SweepConfig) -> Dict[float, Union[ConstantValue, str]]:
+    """gamma_k(c) at every c of the sweep, each the value or the text of its
+    failure; top-level so worker pools can pickle it.  Under mc one pass over
+    the Monte Carlo streams serves every c."""
+    method, samples, seed = config.gamma_method, config.samples, config.seed
+    cs = tuple(dict.fromkeys(config.c_list))
+    shared = _gamma_mc_pass(k, cs, samples, seed) if method == "mc" else None
+    row: Dict[float, Union[ConstantValue, str]] = {}
+    for c in cs:
+        try:
+            row[c] = gamma_eval(k, c, method, mc_samples=samples, mc_seed=seed, _mc_pass=shared)
+        except Exception as exc:  # noqa: BLE001 - per-point isolation
+            row[c] = _failure(exc)
+    return row
+
+
 def _run_point(
-    point: Point, ak: ConstantValue, gamma: ConstantValue, config: SweepConfig
+    point: Point,
+    ak: ConstantValue,
+    gamma: ConstantValue,
+    config: SweepConfig,
+    sieve: Optional[TauSegment],
 ) -> VarianceReport:
     start = time.perf_counter()
     k, d, c = point
     x = _point_x(d, c, config.cutoff, 1)  # before factorize(d), as experiment() checks
     akd = _drop_local_factors(ak, k, d)
-    return _report(k, d, c, x, config.cutoff, config.gamma_method, akd, gamma, 1, start)
+    return _report(k, d, c, x, config.cutoff, config.gamma_method, akd, gamma, 1, start, sieve)
+
+
+def _batch_sieves(jobs: List[Job], cutoff: str) -> Dict[int, TauSegment]:
+    """tau_k over the union of the windows of a batch's points of each k,
+    where one sieve serves them better than one each: two points or more,
+    and a union of at most _CALL entries, one sieve call of a point's class
+    sums, that is no wider than the windows together.  A point that fails
+    its checks is left out, to fail alone; a union whose sieve overflows
+    is dropped, as a point's own window may stay in range."""
+    windows: Dict[int, List[Tuple[int, int]]] = {}
+    for job in jobs:
+        if isinstance(job, str):
+            continue
+        k, d, c = job[0]
+        try:
+            _, lo, hi = _class_sum_range(d, _point_x(d, c, cutoff, 1), cutoff, 1)
+        except Exception:  # noqa: BLE001 - it fails again, alone, when it runs
+            continue
+        windows.setdefault(k, []).append((lo, hi))
+    sieves: Dict[int, TauSegment] = {}
+    for k, spans in windows.items():
+        lo, hi = min(a for a, _ in spans), max(b for _, b in spans)
+        if len(spans) > 1 and hi - lo <= min(_CALL, sum(b - a for a, b in spans)):
+            try:
+                sieves[k] = tau_k_segment(k, lo, hi)
+            except OverflowError:
+                pass
+    return sieves
 
 
 def _run_batch(jobs: List[Job], config: SweepConfig) -> List[Outcome]:
     """Each job's outcome, in order; a job that is already a failure's text
-    stays one.  Top-level so worker pools can pickle it."""
+    stays one.  The points of one k share its sieve from _batch_sieves, if
+    any.  Top-level so worker pools can pickle it."""
+    sieves = _batch_sieves(jobs, config.cutoff)
     outcomes: List[Outcome] = []
     for job in jobs:
         if isinstance(job, str):
             outcomes.append(job)
             continue
         try:
-            outcomes.append(_run_point(*job, config))
+            outcomes.append(_run_point(*job, config, sieves.get(job[0][0])))
         except Exception as exc:  # noqa: BLE001 - per-point isolation
             outcomes.append(_failure(exc))
     return outcomes
@@ -295,12 +350,16 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> SweepRe
 
     Per-point failures are reported on stderr and recorded; remaining points
     still run.  A constant that fails fails every point that needs it, and
-    only those.  Constants go through one `submit`: a process pool's when
-    workers > 1, otherwise one that runs the call in this process.  Batches
-    of points then go through the pool's `map`, one task per batch, each
-    submitted once its points' constants are in; in process the built-in
-    `map` runs one point per batch, only after the previous row is flushed.
-    Rows are written in input order as their batch finishes.
+    only those: a failed gamma_k(c) its (k, c) points, a failed a_k or
+    gamma_k evaluation every point of its k.  Constants, a_k and gamma_k at
+    every c (one Monte Carlo pass under mc) for each k, go through one
+    `submit`: a process pool's when workers > 1, otherwise one that runs the
+    call in this process.  Batches of points then go through the pool's
+    `map`, one task per batch, each submitted once its points' constants are
+    in, and each sieving tau_k once per k where its points' windows allow;
+    in process the built-in `map` runs one point per batch, only after the
+    previous row is flushed.  Rows are written in input order as their batch
+    finishes.
     """
     out = Path(out_dir) if out_dir is not None else (Path(config.out) if config.out else None)
     if out is None:
@@ -326,27 +385,22 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> SweepRe
         submit = pool.submit if parallel else _run_in_process
 
         # Keyed from the points, so an empty sweep evaluates nothing, and
-        # submitted in point order, a_k(k) ahead of its gamma(k, c) values.
-        constants: Dict[tuple, Future] = {}
-        for k, _, c in points:
-            if ("a_k", k) not in constants:
-                constants[("a_k", k)] = submit(a_k_value, k)
-            if ("gamma", k, c) not in constants:
-                constants[("gamma", k, c)] = submit(
-                    gamma_eval, k, c, config.gamma_method,
-                    mc_samples=config.samples, mc_seed=config.seed,
-                )
+        # submitted in point order, a_k ahead of gamma_k for each k.
+        constants: Dict[int, Tuple[Future, Future]] = {}
+        for k, _, _ in points:
+            if k not in constants:
+                constants[k] = submit(a_k_value, k), submit(_gammas, k, config)
 
         def jobs(batch: List[Point]) -> List[Job]:
             ready: List[Job] = []
             for point in batch:
                 k, _, c = point
                 try:
-                    ak, gamma = constants[("a_k", k)].result(), constants[("gamma", k, c)].result()
+                    ak, gamma = constants[k][0].result(), constants[k][1].result()[c]
                 except Exception as exc:  # noqa: BLE001 - a failed constant
                     ready.append(_failure(exc))
                 else:
-                    ready.append((point, ak, gamma))
+                    ready.append(gamma if isinstance(gamma, str) else (point, ak, gamma))
             return ready
 
         def outcomes() -> Iterator[Outcome]:

@@ -36,7 +36,8 @@ import math
 import time
 from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -46,6 +47,7 @@ from .arith import (
     _INTEGERS,
     _L2,
     DEFAULT_SEGMENT_SIZE,
+    TauSegment,
     _check_k,
     _check_modulus,
     _check_window,
@@ -107,13 +109,14 @@ class ClassSums:
         return math.fsum(self.sums.tolist())
 
 
-def _segment_task(args) -> np.ndarray:
+def _segment_task(args, sieve: Optional[TauSegment] = None) -> np.ndarray:
     """Sums of one sieve segment over every residue class mod d, units or not,
     each n weighed by the cutoff's weight object at X = x; top-level so
     worker pools can pickle it.  The segment is summed in blocks of whole
     rows of about 2^16 cells, or one row of d cells when d is wider, and
     sieved in calls of whole blocks, about 2^20 entries, at least one block
-    and at most the segment; a call's cells are dropped before the next."""
+    and at most the segment; a call's cells are dropped before the next.  A
+    given sieve, tau_k over a range that holds the window, is sliced instead."""
     (k, lo, hi, d, x, weight, primes) = args
     # The window lies row by row in a (rows, d) grid that starts at the row
     # of lo: column j holds the n = j mod d in ascending order.  It is walked
@@ -133,7 +136,8 @@ def _segment_task(args) -> np.ndarray:
         first, c_hi = max(c_lo, lo), min(c_lo + call, hi)
         # The sieve keeps tau below 2^62, so its int64 view casts to float64
         # exactly, and faster than uint64 does.
-        tau = tau_k_segment(k, first, c_hi, _primes=primes).values.view(np.int64)
+        seg = tau_k_segment(k, first, c_hi, _primes=primes) if sieve is None else sieve
+        tau = seg.values[first - seg.lo : c_hi - seg.lo].view(np.int64)
         if sums is None:
             sums = np.zeros(d)
         for b_lo in range(c_lo, c_hi, rows * d):
@@ -151,7 +155,7 @@ def _segment_task(args) -> np.ndarray:
             else:
                 sums[0] = np.cumsum(block, out=block)[-1]
         # the next call's cells replace this one's rather than join them
-        del tau
+        del tau, seg
     return sums
 
 
@@ -206,6 +210,7 @@ def compute_class_sums(
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
+    _sieve: Optional[TauSegment] = None,
 ) -> ClassSums:
     """Stream tau_k segments once and accumulate the per-class sums, each n
     of the cutoff's support weighed by its weight object (`tauvar.weights`).
@@ -213,11 +218,13 @@ def compute_class_sums(
     Windows of segment_size <= 2^22 entries may be sieved concurrently
     (workers > 1); partial class vectors are merged in ascending order with
     Kahan compensation, so the result is bit-identical for any worker count.
+    _sieve, tau_k over a range that holds the support's n (a sweep batch
+    shares one), is sliced rather than sieved again.
     """
     _check_k(k)
     _check_window(segment_size)
     weight, lo, hi = _class_sum_range(d, x, cutoff, workers)
-    primes = primes_upto(math.isqrt(hi - 1))
+    primes = primes_upto(math.isqrt(hi - 1)) if _sieve is None else None
     tasks = [
         (k, s_lo, min(s_lo + segment_size, hi), d, x, weight, primes)
         for s_lo in range(lo, hi, segment_size)
@@ -227,7 +234,7 @@ def compute_class_sums(
     parallel = workers > 1 and len(tasks) > 1
     # pool.map yields in task order, so both paths merge in ascending segment order
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
-        for part in (pool.map if parallel else map)(_segment_task, tasks):
+        for part in (pool.map if parallel else map)(partial(_segment_task, sieve=_sieve), tasks):
             # Kahan step, elementwise per class
             y = part - comp
             t = acc + y
@@ -355,10 +362,11 @@ class VarianceReport:
 
     wall_time_s is the point's own time.  From experiment() it covers the
     whole call, constants included.  In a sweep, whose constants are
-    evaluated once per distinct key and shared by the points (see sweep.py),
-    it leaves those shared constants out.  prime_bound and segment_size are
-    fixed echoes of the library: a_k's Euler-product truncation,
-    constants.PRIME_BOUND, and the sieve window, arith.DEFAULT_SEGMENT_SIZE.
+    evaluated once per k and shared by the points, as is a pool batch's
+    tau_k sieve (see sweep.py), it leaves those shared parts out.
+    prime_bound and segment_size are fixed echoes of the library: a_k's
+    Euler-product truncation, constants.PRIME_BOUND, and the sieve window,
+    arith.DEFAULT_SEGMENT_SIZE.
     """
 
     k: int
@@ -382,7 +390,11 @@ class VarianceReport:
     code_version: str = __version__
 
     def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
+        # shallow: asdict's deep copy of every field cost more than the rest of
+        # a sweep record's line, and only gamma_params is mutable
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["gamma_params"] = dict(self.gamma_params)
+        return out
 
 
 def experiment(
@@ -420,10 +432,13 @@ def _report(
     gamma: ConstantValue,
     workers: int,
     start: float,
+    sieve: Optional[TauSegment] = None,
 ) -> VarianceReport:
     """One point's report at X from its evaluated constants: the one builder
-    behind experiment() and every sweep point.  wall_time_s runs from `start`."""
-    cs = compute_class_sums(k, d, x, cutoff, workers=workers)
+    behind experiment() and every sweep point.  wall_time_s runs from `start`;
+    a sweep batch's shared sieve is made before it."""
+    d = _check_modulus(d)  # checked before; a numpy d echoes as an int
+    cs = compute_class_sums(k, d, x, cutoff, workers=workers, _sieve=sieve)
     var = variance_direct(k, d, x, cutoff, class_sums=cs)
     mt = _leading_term(k, d, x, akd, gamma)
     ratio = var / mt if mt > 0 else None

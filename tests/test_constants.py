@@ -15,6 +15,7 @@ from tauvar.constants import (
     _MC_BLOCK,
     GAMMA3_PIECEWISE,
     PRIME_BOUND,
+    _gamma_mc_pass,
     a_k_d,
     a_k_value,
     convolution_compare,
@@ -189,6 +190,22 @@ def test_gamma_k_mc_pinned_bits():
     assert est.value.hex() == "0x1.1b4a2e07024b3p-13"
     assert est.error_estimate.hex() == "0x1.0307d55d39849p-24"
     assert est.params["samples"] == 1003284 and est.params["chunks"] == 2
+
+
+@pytest.mark.parametrize(
+    "k, cs, samples",
+    [(2, (0.3, 1.3, 1.7), 10**4), (3, (2.5,), 10**4), (3, (1.3, 1.7, 2.5), 10**6),
+     (4, (0.5, 3.3), 10**4), (5, (1.5, 2.5, 3.3), 10**4)],
+)
+def test_gamma_mc_pass_gives_each_c_the_bits_of_gamma_k_mc(k, cs, samples):
+    # one pass shares its draws among every c; each c's own operations keep
+    # the order of a pass over that c alone
+    got = _gamma_mc_pass(k, cs, samples, 5)
+    assert list(got) == list(cs)
+    for c in cs:
+        assert repr(got[c]) == repr(gamma_k_mc(k, c, samples, 5))
+    if samples == 10**6:
+        assert got[cs[0]].params["chunks"] == 2
 
 
 def test_gamma_k_mc_validation():

@@ -11,7 +11,7 @@ import pytest
 import tauvar.constants
 import tauvar.sweep
 from tauvar.arith import DEFAULT_SEGMENT_SIZE
-from tauvar.constants import check_gamma_domain, gamma_eval
+from tauvar.constants import a_k_value, check_gamma_domain, gamma_eval
 from tauvar.sweep import (
     CSV_COLUMNS,
     SweepConfig,
@@ -342,7 +342,7 @@ MC_GRID = SweepConfig(
 
 
 def test_sweep_evaluates_each_constant_once_per_call(tmp_path, monkeypatch):
-    calls = {"gamma_k_mc": 0, "a_k_value": 0}
+    calls = {"_gamma_mc_pass": 0, "gamma_k_mc": 0, "a_k_value": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -353,23 +353,27 @@ def test_sweep_evaluates_each_constant_once_per_call(tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(tauvar.constants, "gamma_k_mc")  # gamma_eval's reference
+    # one Monte Carlo pass per k serves every c; gamma_eval's own reference,
+    # a pass per (k, c), is never taken
+    counted(tauvar.sweep, "_gamma_mc_pass")
+    counted(tauvar.constants, "gamma_k_mc")
     counted(tauvar.sweep, "a_k_value")
     cfg = MC_GRID
     assert run_sweep(cfg, out_dir=tmp_path / "a").ok
-    assert calls == {"gamma_k_mc": 4, "a_k_value": 2}
+    assert calls == {"_gamma_mc_pass": 2, "gamma_k_mc": 0, "a_k_value": 2}
     # nothing is kept between sweeps: the same config evaluates them again
     assert run_sweep(cfg, out_dir=tmp_path / "b").ok
-    assert calls == {"gamma_k_mc": 8, "a_k_value": 4}
+    assert calls == {"_gamma_mc_pass": 4, "gamma_k_mc": 0, "a_k_value": 4}
     # the keys come from the points: a sweep without moduli evaluates nothing
     for workers in (1, 2):
         empty = SweepConfig(**{**cfg.__dict__, "d_list": (), "workers": workers})
         assert run_sweep(empty, out_dir=tmp_path / f"empty{workers}").ok
-    assert calls == {"gamma_k_mc": 8, "a_k_value": 4}
+    assert calls == {"_gamma_mc_pass": 4, "gamma_k_mc": 0, "a_k_value": 4}
 
 
 def _gamma_failing_at_3_17(k, c, *args, **kwargs):
-    # top-level, so a pool worker can unpickle it
+    # patched into tauvar.sweep before the pool starts, so forked pool
+    # workers run it too
     if (k, c) == (3, 1.7):
         raise RuntimeError("no gamma here")
     return gamma_eval(k, c, *args, **kwargs)
@@ -377,8 +381,9 @@ def _gamma_failing_at_3_17(k, c, *args, **kwargs):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_isolates_a_failing_shared_constant(tmp_path, monkeypatch, workers):
-    # at workers = 2, (3, 4, 1.3) and (3, 4, 1.7) share a batch, and only
-    # the second may fail
+    # k's gamma task reads each c through gamma_eval, so a failure at one
+    # (k, c) fails only its points; at workers = 2, (3, 4, 1.3) and
+    # (3, 4, 1.7) share a batch, and only the second may fail
     monkeypatch.setattr(tauvar.sweep, "gamma_eval", _gamma_failing_at_3_17)
     cfg = SweepConfig(**{**MC_GRID.__dict__, "workers": workers})
     batches = tauvar.sweep._batches(list(cfg.points()), cfg, workers)
@@ -394,6 +399,25 @@ def test_sweep_isolates_a_failing_shared_constant(tmp_path, monkeypatch, workers
     assert len(read_records(res.jsonl_path)) == len(good)
 
 
+def _pass_failing_at_3(k, *args):
+    # reaches pool workers as _gamma_failing_at_3_17 does
+    if k == 3:
+        raise RuntimeError("no pass here")
+    return tauvar.constants._gamma_mc_pass(k, *args)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_isolates_a_failing_gamma_pass(tmp_path, monkeypatch, workers):
+    # one pass serves every c of a k, so its failure fails every point of
+    # that k, and only those
+    monkeypatch.setattr(tauvar.sweep, "_gamma_mc_pass", _pass_failing_at_3)
+    cfg = SweepConfig(**{**MC_GRID.__dict__, "workers": workers})
+    res = run_sweep(cfg, out_dir=tmp_path)
+    bad = [pt for pt in cfg.points() if pt[0] == 3]
+    assert res.failures == [(pt, "RuntimeError: no pass here") for pt in bad]
+    assert [(r.k, r.d, r.c) for r in res.records] == [pt for pt in cfg.points() if pt[0] != 3]
+
+
 def test_parallel_sweep_submits_one_task_per_batch(tmp_path, monkeypatch):
     submitted = []
 
@@ -407,10 +431,11 @@ def test_parallel_sweep_submits_one_task_per_batch(tmp_path, monkeypatch):
     d_list = (4, 5, 7, 8, 9, 11, 12, 13, 35)
     cfg = SweepConfig(**{**MC_GRID.__dict__, "d_list": d_list, "workers": 2})
     assert run_sweep(cfg, out_dir=tmp_path).ok
-    constants = len(cfg.k_list) + len(cfg.k_list) * len(cfg.c_list)
-    # one task per point would be 6 + 36
+    # a_k and gamma_k at every c, one task each per k
+    constants = 2 * len(cfg.k_list)
+    # one task per point, and per (k, c) for gamma, would be 6 + 36
     assert len(submitted) <= constants + tauvar.sweep._BATCHES_PER_WORKER * cfg.workers
-    assert submitted.count("a_k_value") + submitted.count("gamma_eval") == constants
+    assert submitted.count("a_k_value") + submitted.count("_gammas") == constants
     assert submitted.count("map task") == len(tauvar.sweep._batches(list(cfg.points()), cfg, 2))
 
 
@@ -430,6 +455,81 @@ def test_broken_pool_fails_the_points_it_has_not_returned(tmp_path, monkeypatch)
     rest = [pt for pt in cfg.points() if pt not in first]
     assert res.failures == [(pt, "BrokenProcessPool: a worker died") for pt in rest]
     assert len(read_records(res.jsonl_path)) == len(first)
+
+def _jobs(cfg):
+    """The sweep's jobs for every point of cfg, with their constants."""
+    return [
+        (pt, a_k_value(pt[0]), gamma_eval(pt[0], pt[2], cfg.gamma_method, mc_samples=cfg.samples))
+        for pt in cfg.points()
+    ]
+
+
+def _same_as_experiment(outcome, point, cfg):
+    want = experiment(*point, cfg.cutoff, cfg.gamma_method, mc_samples=cfg.samples).to_dict()
+    got = outcome.to_dict()
+    del want["wall_time_s"], got["wall_time_s"]
+    return got == want
+
+
+def _counted_sieves(monkeypatch):
+    """The (module, k, lo, hi) of every tau_k_segment call the sweep and the
+    class sums make from here on."""
+    calls = []
+    for module in (tauvar.sweep, tauvar.variance):
+        def counted(k, lo, hi, *args, _module=module, _original=module.tau_k_segment, **kwargs):
+            calls.append((_module.__name__, k, lo, hi))
+            return _original(k, lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(module, "tau_k_segment", counted)
+    return calls
+
+
+def test_batch_sieves_once_per_k(monkeypatch):
+    cfg = SweepConfig(
+        k_list=(2, 3), d_list=(101, 103, 107), c_list=(1.3, 1.7), gamma_method="mc", samples=10**4
+    )
+    calls = _counted_sieves(monkeypatch)
+    outcomes = tauvar.sweep._run_batch(_jobs(cfg), cfg)
+    # one sieve per k, over the union of its six points' windows
+    assert [call[:2] for call in calls] == [("tauvar.sweep", 2), ("tauvar.sweep", 3)]
+    assert calls[0][2:] == (int(101**1.3) + 1, int(2 * 107**1.7) + 1)
+    for outcome, point in zip(outcomes, cfg.points(), strict=True):
+        assert _same_as_experiment(outcome, point, cfg)
+
+
+def _overflowing_sieve(*args, **kwargs):
+    raise OverflowError("tau_2 exceeds the 64-bit sieve range")
+
+
+@pytest.mark.parametrize("case", ["over the cap", "overflows"])
+def test_batch_points_sieve_alone_where_a_union_does_not_serve(monkeypatch, case):
+    if case == "over the cap":
+        # windows (X, 2X] from X = 585781 and 853968: a union of 1.12e6 > 2^20 entries
+        cfg = SweepConfig(k_list=(2,), d_list=(7001, 9001), c_list=(1.5,))
+        calls = _counted_sieves(monkeypatch)
+    else:
+        cfg = SweepConfig(k_list=(2,), d_list=(101, 103, 107), c_list=(1.5,))
+        calls = _counted_sieves(monkeypatch)
+        monkeypatch.setattr(tauvar.sweep, "tau_k_segment", _overflowing_sieve)
+    outcomes = tauvar.sweep._run_batch(_jobs(cfg), cfg)
+    # each point sieves its own window, and succeeds as it would alone
+    assert [call[0] for call in calls] == ["tauvar.variance"] * len(cfg.d_list)
+    for outcome, point in zip(outcomes, cfg.points(), strict=True):
+        assert _same_as_experiment(outcome, point, cfg)
+
+
+def test_batch_leaves_a_point_over_the_sieve_budget_out_of_its_union(monkeypatch):
+    cfg = SweepConfig(k_list=(2,), d_list=(101, 10**9, 103, 107), c_list=(1.5,))
+    calls = _counted_sieves(monkeypatch)
+    outcomes = tauvar.sweep._run_batch(_jobs(cfg), cfg)
+    # the three other points share one sieve, which stops at d = 107's window
+    assert calls == [("tauvar.sweep", 2, int(101**1.5) + 1, int(2 * 107**1.5) + 1)]
+    with pytest.raises(ValueError, match="exceeds the sieve budget") as direct:
+        experiment(2, 10**9, 1.5)
+    assert outcomes[1] == f"ValueError: {direct.value}"
+    for outcome, point in zip(outcomes, cfg.points(), strict=True):
+        assert point[1] == 10**9 or _same_as_experiment(outcome, point, cfg)
+
 
 def test_parallel_batches_share_the_work_not_the_points():
     # c-ladders at one d: X = d^c grows 5-7% a step, so equal counts of

@@ -1,6 +1,8 @@
 """Variance engine: hand oracles, brute-force agreement, three-way identity."""
 
+import dataclasses
 import inspect
+import json
 import math
 import tracemalloc
 
@@ -241,6 +243,32 @@ def test_experiment_takes_a_numpy_integer_k():
     for report in (got, want):
         del report["wall_time_s"]
     assert repr(got) == repr(want)
+
+
+def test_experiment_echoes_a_numpy_modulus_as_an_int():
+    # a numpy d used to reach the report as np.int64, which json refuses
+    rep = experiment(2, np.int64(101), 1.5, "sharp")
+    assert type(rep.d) is int and type(a_k_d(2, np.int64(101)).params["d"]) is int
+    got, want = rep.to_dict(), experiment(2, 101, 1.5, "sharp").to_dict()
+    del got["wall_time_s"], want["wall_time_s"]
+    assert json.dumps(got) == json.dumps(want)
+
+
+def test_report_dict_is_a_copy_of_the_fields():
+    rep = experiment(3, 101, 1.7, "smooth", "mc", mc_samples=10**4)
+    got = rep.to_dict()
+    assert got == dataclasses.asdict(rep)
+    got["gamma_params"]["seed"] = 2
+    assert rep.gamma_params["seed"] == 1
+
+
+def test_class_sums_slice_a_given_sieve():
+    # a sweep batch hands its points one sieve over their windows' union
+    sieve = tau_k_segment(3, 1000, 9000)
+    for d, x in ((7, 1500.0), (101, 3000.5), (1, 4400.0)):
+        want = compute_class_sums(3, d, x, "smooth")
+        got = compute_class_sums(3, d, x, "smooth", _sieve=sieve)
+        assert np.array_equal(got.sums, want.sums)
 
 
 def test_class_sums_reject_nonpositive_workers():
