@@ -22,15 +22,18 @@ read from a 16-entry table.  The powers 2^4, 3^2, 5 and 7 repeat with
 period 5040, so the first 5040 cells read their factors and log units from
 a table of the 60 rows of valuations capped there, and are copied across
 the window by doubling; primes with no multiple in the window are skipped.
+The uint64 pass can also stream each block, made in one reused buffer, to
+a sink before the next: the class sums (tauvar.variance) weigh it while it
+is still in cache, and a window's 8-byte cells never exist all at once.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import product
 from math import comb, isqrt, log2
-from typing import Callable, Iterator, List, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -230,7 +233,10 @@ def _check_window(segment_size: int) -> None:
         )
 
 
-def tau_k_segment(k: int, lo: int, hi: int, *, _primes: np.ndarray | None = None) -> TauSegment:
+def tau_k_segment(
+    k: int, lo: int, hi: int, *, _primes: np.ndarray | None = None,
+    _sink: Tuple[Sequence[int], Callable[[int, np.ndarray], None]] | None = None,
+) -> TauSegment:
     """Sieve tau_k(n) for all n in [lo, hi), at most DEFAULT_SEGMENT_SIZE entries.
 
     One sieve in two passes over two cells per n.  The uint16 pass walks
@@ -254,6 +260,12 @@ def tau_k_segment(k: int, lo: int, hi: int, *, _primes: np.ndarray | None = None
     reach 2^62 check the cells before each multiply and raise OverflowError
     rather than return a wrapped value.  The cap on the width is fixed;
     tau_k_segments() streams wider ranges.
+
+    _sink, (edges, sink) with 0 = edges[0] < ... < edges[-1] = hi - lo,
+    streams the uint64 pass instead: block i holds n in [lo + edges[i],
+    lo + edges[i + 1]), is made in one reused buffer and handed to
+    sink(edges[i], block) before the next is made, and the result holds
+    only the last block.
     """
     _check_range(k, lo, hi)
     if hi - lo > DEFAULT_SEGMENT_SIZE:
@@ -331,7 +343,10 @@ def tau_k_segment(k: int, lo: int, hi: int, *, _primes: np.ndarray | None = None
     head = min(n, _WHEEL)
     cells = np.empty(n, dtype=np.uint16)
     cells[:head] = (-wheel_log).astype(np.uint16)[_WHEEL_ROW_OF[lo % _WHEEL :][:head]]
-    tau = np.empty(n, dtype=np.uint64)
+    # The uint64 cells: the window's, each block in its place, or with a
+    # sink one block's, reused by every block.
+    edges, sink = _sink or ([*range(0, n, _BLOCK), n], None)
+    tau = np.empty(max(b - a for a, b in zip(edges, edges[1:])) if sink else n, dtype=np.uint64)
 
     def guard(vals: np.ndarray, factor: int | np.ndarray) -> None:
         """Raise unless every cell times its factor stays <= _TAU_MAX."""
@@ -350,8 +365,14 @@ def tau_k_segment(k: int, lo: int, hi: int, *, _primes: np.ndarray | None = None
 
     # The uint16 pass, over the whole window: every log hit and count change.
     spread(cells, head)
-    for j, t in enumerate(ts):
-        cells[starts[j] : starts[j + 1]] += 255 + t
+    # A slice from a on is a // 8 + 1 cells wide, so those from n = 504 on
+    # take 64 cells or more (a last one cut at hi aside).  The narrower ones
+    # lead a window that starts near 1 and take one repeated array.
+    if lead := bisect_left(starts, 504 - lo, 0, len(ts)):
+        narrow = np.array(ts[:lead], dtype=np.uint16) + 255
+        cells[: starts[lead]] += np.repeat(narrow, np.diff(starts[: lead + 1]))
+    for j in range(lead, len(ts)):
+        cells[starts[j] : starts[j + 1]] += 255 + ts[j]
     # The uint64 pass strikes 2^5, 3^3, 5^2 and 7^2 on, and p^2 on for the
     # other primes, whose cells hold no factor for p, its k waiting for the
     # multiply by k^(high byte).  A window of one block strikes every prime
@@ -403,14 +424,15 @@ def tau_k_segment(k: int, lo: int, hi: int, *, _primes: np.ndarray | None = None
         hit_factor = np.ones(hits.size, dtype=np.uint64)
         table = np.array(binom[: e.max(initial=2) + 1], dtype=np.uint64)
         np.multiply.at(hit_factor, merge, table[e])
+        # about 1 MB on a 2^22 window, not kept beside the blocks
+        del big, lbig, first, count, ith, e, m, deeper, merge
 
     powers = np.array([k**e for e in range(16)], dtype=np.uint64)
     factor = np.empty(min(n, _CHUNK), dtype=np.uint64)
     # The uint64 pass, block by block: the head, the strikes, the hits of
     # the squares, and k^(high byte) in steps of _CHUNK cells.
-    for a in range(0, n, _BLOCK):
-        b = min(n, a + _BLOCK)
-        block = tau[a:b]
+    for a, b in zip(edges, edges[1:]):
+        block = tau[a:b] if sink is None else tau[: b - a]
         h = min(head, b - a)
         wheel_tau.take(_WHEEL_ROW_OF[(lo + a) % _WHEEL :][:h], out=block[:h])
         spread(block, h)
@@ -424,20 +446,24 @@ def tau_k_segment(k: int, lo: int, hi: int, *, _primes: np.ndarray | None = None
                 vals *= binom[j]
         if len(hits):
             i, i_end = np.searchsorted(hits, (a, b))
-            at, f = hits[i:i_end], hit_factor[i:i_end]
-            vals = tau[at]
+            at, f = hits[i:i_end] - a, hit_factor[i:i_end]
+            vals = block[at]
             if guarded:
                 guard(vals, f)
-            tau[at] = vals * f
-        for i in range(a, b, _CHUNK):
-            c = cells[i : min(b, i + _CHUNK)]
+            block[at] = vals * f
+        for i in range(0, b - a, _CHUNK):
+            c = cells[a + i : min(b, a + i + _CHUNK)]
             c >>= 8
             # c <= 14, so "clip" never clips; it spares take() a buffered copy
             f = powers.take(c, out=factor[: c.size], mode="clip")
-            vals = tau[i : i + c.size]
+            vals = block[i : i + c.size]
             if guarded:
                 guard(vals, f)
             vals *= f
+        if sink is not None:
+            sink(a, block)
+    if sink is not None:  # the last block, which the buffer still holds
+        return TauSegment(k=k, lo=lo + a, hi=hi, values=block)
     return TauSegment(k=k, lo=lo, hi=hi, values=tau)
 
 

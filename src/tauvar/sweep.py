@@ -61,7 +61,7 @@ from .constants import (
     ConstantValue, _check_gamma_method, _drop_local_factors, _gamma_mc_pass, a_k_value,
     check_gamma_domain, gamma_eval,
 )
-from .variance import _CALL, VarianceReport, _check_point, _class_sum_range, _point_x, _report
+from .variance import VarianceReport, _check_point, _class_sum_range, _point_x, _report
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -83,14 +83,19 @@ SCHEMA_VERSION = 1
 _BATCHES_PER_WORKER = 4
 
 # Costs are in class-sum entries (sieve, weight and accumulation), about
-# 4.5e7/s on one core, not variance._SIEVE_RATE's raw sieve rate.  A point's
-# fixed cost (its report, a_k's local factors, the pool hop): about 0.7 ms.
+# 4.5e7/s on one core over a sweep's narrow windows, well under
+# variance._SIEVE_RATE's over 2^22-entry ones.  A point's fixed cost (its
+# report, a_k's local factors, the pool hop): about 0.7 ms.
 _POINT_COST_X = 2**15
 
 # The most work worth one batch: about 0.1 s, beside which a pool round trip
 # (under 1 ms) is lost.  Dearer batches save nothing and only coarsen how the
 # workers share the work.
 _BATCH_COST_X = 2**22
+
+# The widest union of a batch's windows of one k that one shared sieve
+# serves, 2^20 entries: its uint64 and uint16 cells take 10 MB.
+_UNION = 1 << 20
 
 Point = Tuple[int, int, float]
 # a point with its a_k and gamma, or the text of its constant's failure
@@ -275,10 +280,10 @@ def _run_point(
 def _batch_sieves(jobs: List[Job], cutoff: str) -> Dict[int, TauSegment]:
     """tau_k over the union of the windows of a batch's points of each k,
     where one sieve serves them better than one each: two points or more,
-    and a union of at most _CALL entries, one sieve call of a point's class
-    sums, that is no wider than the windows together.  A point that fails
-    its checks is left out, to fail alone; a union whose sieve overflows
-    is dropped, as a point's own window may stay in range."""
+    and a union of at most _UNION entries that is no wider than the windows
+    together.  A point that fails its checks is left out, to fail alone; a
+    union whose sieve overflows is dropped, as a point's own window may stay
+    in range."""
     windows: Dict[int, List[Tuple[int, int]]] = {}
     for job in jobs:
         if isinstance(job, str):
@@ -292,7 +297,7 @@ def _batch_sieves(jobs: List[Job], cutoff: str) -> Dict[int, TauSegment]:
     sieves: Dict[int, TauSegment] = {}
     for k, spans in windows.items():
         lo, hi = min(a for a, _ in spans), max(b for _, b in spans)
-        if len(spans) > 1 and hi - lo <= min(_CALL, sum(b - a for a, b in spans)):
+        if len(spans) > 1 and hi - lo <= min(_UNION, sum(b - a for a, b in spans)):
             try:
                 sieves[k] = tau_k_segment(k, lo, hi)
             except OverflowError:

@@ -20,12 +20,14 @@ precision is a strong check of the character machinery.
 
 Each segment carries the cutoff's weight object over the n of its support
 and lays them row by row in a (rows, d) grid, column j holding the
-n = j mod d, and walks it in blocks of whole rows of about 2^16 cells.  It
-sieves tau_k in consecutive calls of whole blocks, about 2^20 entries each,
-so one call's cells are alive at a time.  A block is cast into one reused
-buffer whose first row holds the running class sums, which carry from call
-to call, weighed there in place by the weight object, and summed along its
-rows in order, so every class adds in ascending n, as over the whole grid.
+n = j mod d, and walks it in blocks of whole rows of about 2^16 cells.  One
+tau_k_segment call sieves the segment: its uint16 pass runs once over the
+window, and its uint64 pass streams runs of whole row blocks, about 2^17
+cells, in one reused buffer, so a window's 8-byte cells never exist at once.
+Each row block is cast into a second reused buffer whose first row holds the
+running class sums, weighed there in place by the weight object while the
+sieve's cells are still in cache, and summed along its rows in order, so
+every class adds in ascending n, as over the whole grid.
 Class sums are merged across segments in ascending order with Kahan
 compensation, which makes every result independent of the worker count.
 """
@@ -44,8 +46,8 @@ import numpy as np
 
 from ._version import __version__
 from .arith import (
+    _BLOCK as _SIEVE_BLOCK,
     _INTEGERS,
-    _L2,
     DEFAULT_SEGMENT_SIZE,
     TauSegment,
     _check_k,
@@ -78,18 +80,18 @@ SIEVE_BUDGET = 2**31
 # The cutoffs the class sums weigh n by, named as in weights._CUTOFFS.
 CUTOFFS = tuple(_CUTOFFS)
 
-# Sieve entries per second, for cost estimates in error messages: the
-# median desk-probe.arith.sieve_mentries_per_s of the two traced runs of
-# the change in BENCH_18.json (83.6 M/s, calls of about 2^20 entries, one
-# worker on a 2-CPU machine, numpy 2.4).
-_SIEVE_RATE = 8.36e7
+# Sieve entries per second, for cost estimates in error messages: 6.46e7 entries
+# over desk-probe.arith.sieve_s, 0.364 s, of the traced run in BENCH_32.json
+# (sieve, weight and sums in one streamed call per window, one worker of 2 CPUs,
+# numpy 2.4); its sieve_mentries_per_s counts one streamed block per window.
+_SIEVE_RATE = 1.77e8
 
 # Cells per row block of a segment's class sums: the block's buffers stay in cache.
 _BLOCK = 1 << 16
 
-# Entries per sieve call of a segment's class sums, 2^20: the sieve's uint16
-# cells of one call fill its L2 budget.
-_CALL = _L2 // 2
+# Cells per block the sieve hands to a segment's class sums, whole row blocks.
+# 2^18 ran desk-probe 1.5% faster but raised its peak RSS by 1 MB (2 CPUs).
+_STREAM = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -113,10 +115,11 @@ def _segment_task(args, sieve: Optional[TauSegment] = None) -> np.ndarray:
     """Sums of one sieve segment over every residue class mod d, units or not,
     each n weighed by the cutoff's weight object at X = x; top-level so
     worker pools can pickle it.  The segment is summed in blocks of whole
-    rows of about 2^16 cells, or one row of d cells when d is wider, and
-    sieved in calls of whole blocks, about 2^20 entries, at least one block
-    and at most the segment; a call's cells are dropped before the next.  A
-    given sieve, tau_k over a range that holds the window, is sliced instead."""
+    rows of about _BLOCK cells, or one row of d cells when d is wider.  One
+    tau_k_segment call sieves it and streams its uint64 cells in runs of
+    whole row blocks, about _STREAM cells, each weighed and summed while
+    still in cache.  A given sieve, tau_k over a range that holds the
+    window, is summed from its slice instead."""
     (k, lo, hi, d, x, weight, primes) = args
     # The window lies row by row in a (rows, d) grid that starts at the row
     # of lo: column j holds the n = j mod d in ascending order.  It is walked
@@ -124,29 +127,31 @@ def _segment_task(args, sieve: Optional[TauSegment] = None) -> np.ndarray:
     # row 0 holds the running class sums; cells outside the window stay 0.
     # rows per block: about _BLOCK cells, at least one row, at most the window's
     rows = max(1, min(_BLOCK // d, -(-(lo % d + hi - lo) // d)))
-    # grid cells per sieve call: whole blocks, about _CALL of them
-    call = rows * d * max(1, _CALL // (rows * d))
-    # The class sums are made after the first sieve call, so not beside its
-    # peak.  The buffer is made before it: made after, malloc placed it among
-    # the sieve's freed arrays, and desk-probe's peak RSS rose from 39.6 to
-    # 46.2 MB in 5 of 6 runs (2 workers).
+    span = rows * d
+    # The sieve's blocks: whole row blocks, about _STREAM cells, their first
+    # cells as offsets into the window, then its end.  A window that fits one
+    # block of the sieve's own goes over whole, its primes struck once.
+    step = span * max(1, _STREAM // span)
+    edges = [0, *range(step - lo % d, hi - lo, step)] if hi - lo > _SIEVE_BLOCK else [0]
+    edges.append(hi - lo)
+    # Made before the sieve's arrays: made after them, malloc placed the
+    # buffer among the sieve's freed arrays, and desk-probe's peak RSS rose
+    # from 39.6 to 46.2 MB in 5 of 6 runs (2 workers).
     buf = np.zeros((rows + 1) * d)
-    sums = None
-    for c_lo in range(lo - lo % d, hi, call):
-        first, c_hi = max(c_lo, lo), min(c_lo + call, hi)
-        # The sieve keeps tau below 2^62, so its int64 view casts to float64
-        # exactly, and faster than uint64 does.
-        seg = tau_k_segment(k, first, c_hi, _primes=primes) if sieve is None else sieve
-        tau = seg.values[first - seg.lo : c_hi - seg.lo].view(np.int64)
-        if sums is None:
-            sums = np.zeros(d)
-        for b_lo in range(c_lo, c_hi, rows * d):
-            a, b = max(b_lo, lo), min(b_lo + rows * d, hi)
+    sums = np.zeros(d)
+
+    def add(offset: int, tau: np.ndarray) -> None:
+        """Weigh and sum tau_k(n) on a run of whole rows, n from lo + offset on."""
+        first, end = lo + offset, lo + offset + tau.size
+        for b_lo in range(first - first % d, end, span):
+            a, b = max(b_lo, first), min(b_lo + span, end)
             block = buf[: d * (1 + -(-(b - b_lo) // d))]
             block[:d] = sums
             block[d + b - b_lo :] = 0.0  # the tail of the last row
             window = block[d + a - b_lo : d + b - b_lo]
-            weight.weigh(a, b, x, tau[a - first : b - first], window)
+            # The sieve keeps tau below 2^62, so its int64 view casts to
+            # float64 exactly, and faster than uint64 does.
+            weight.weigh(a, b, x, tau[a - first : b - first].view(np.int64), window)
             # Summing the rows one after another adds each class in ascending n,
             # as bincount does; numpy would sum a lone column (d = 1) pairwise
             # instead, so that one takes the running sum.
@@ -154,8 +159,11 @@ def _segment_task(args, sieve: Optional[TauSegment] = None) -> np.ndarray:
                 block.reshape(-1, d).sum(axis=0, out=sums)
             else:
                 sums[0] = np.cumsum(block, out=block)[-1]
-        # the next call's cells replace this one's rather than join them
-        del tau, seg
+
+    if sieve is None:
+        tau_k_segment(k, lo, hi, _primes=primes, _sink=(edges, add))
+    else:
+        add(0, sieve.values[lo - sieve.lo : hi - sieve.lo])
     return sums
 
 

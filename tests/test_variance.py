@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tauvar import constants, variance
+from tauvar import arith, constants, variance
 from tauvar.arith import DEFAULT_SEGMENT_SIZE, divisors, euler_phi, tau_k_of, tau_k_segment, units
 from tauvar.characters import CharacterGroup
 from tauvar.constants import a_k_d, gamma_eval, gamma_k_simple
@@ -390,8 +390,9 @@ def test_segment_class_sums_over_row_blocks_match_bincount(d, place):
 
 @pytest.mark.parametrize("d", [1, 1009, 100003])
 def test_segment_class_sums_stay_near_the_sieve_memory(d):
-    # The sieve's 8-byte cells of a 2^20-entry smooth window, plus blocks of
-    # about 2^16 cells: no array of the window's size is added beside them.
+    # The sieve's 2-byte cells of a 2^20-entry smooth window, one uint64
+    # block of about 2^17 cells, one float64 row block of about 2^16 and the
+    # weight's temporaries: no 8-byte array of the window's size is made.
     n = 2**20
     lo = 64160001
     task = (3, lo, lo + n, d, lo - 1.0, make_bump_weight(), None)
@@ -401,15 +402,15 @@ def test_segment_class_sums_stay_near_the_sieve_memory(d):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n <= 12
+    assert peak / n <= 7
 
 
 @pytest.mark.parametrize("d", [1, 1009, 300007])
 @pytest.mark.parametrize("place", ["sharp", "inside", "crosses 2"])
 def test_segment_class_sums_over_sieve_calls_match_bincount(d, place):
-    # A window of more than two sieve calls of about 2^20 entries, starting
-    # mid-row: the running class sums carry from call to call, so every
-    # class still adds in ascending n.
+    # A window of 2^21 entries and more, starting mid-row, streamed from its
+    # sieve in many blocks: the running class sums carry from block to
+    # block, so every class still adds in ascending n.
     lo = 10**7 // d * d + (d + 1) // 2
     width = 2**21 + 1000
     hi = lo + width
@@ -421,9 +422,9 @@ def test_segment_class_sums_over_sieve_calls_match_bincount(d, place):
 
 @pytest.mark.parametrize("d", [1, 1009, 100003])
 def test_segment_class_sums_sieve_in_calls(d):
-    # A 2^22-entry window is sieved in calls of about 2^20 entries, one call's
-    # cells alive at a time: about a quarter of the 10 bytes per entry that
-    # sieving it whole would take.
+    # A 2^22-entry window is sieved in one call whose uint64 cells stream to
+    # the class sums a block at a time: the 2-byte cells of the window stay,
+    # well under the 10 bytes per entry that sieving it whole would take.
     n = 2**22
     lo = 64160001
     task = (3, lo, lo + n, d, lo - 1.0, make_bump_weight(), None)
@@ -436,11 +437,50 @@ def test_segment_class_sums_sieve_in_calls(d):
     assert peak / n <= 4
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    lo=st.integers(1, 10**9),
+    width=st.one_of(
+        st.integers(1, variance._STREAM),  # narrower than one block
+        st.integers(variance._STREAM, DEFAULT_SEGMENT_SIZE - 2000),
+    ),
+    d=st.one_of(
+        st.just(1),
+        st.integers(2, 5000),
+        st.integers(variance._STREAM + 1, 3 * variance._STREAM),  # wider than a block
+    ),
+    cutoff=st.sampled_from(CUTOFFS),
+    x_frac=st.floats(0.4, 1.05),
+    pad=st.tuples(st.integers(0, 1000), st.integers(0, 1000)),
+)
+def test_streamed_class_sums_match_a_given_sieve(k, lo, width, d, cutoff, x_frac, pad):
+    # The sieve streams its blocks of whole rows to the class sums; a given
+    # sieve over a range that holds the window is summed from one slice.
+    # Both add every class in ascending n from the same exact values, so
+    # they agree bit for bit, mid-row starts included.
+    hi = lo + width
+    x = max(1.0, lo * x_frac)
+    task = (k, lo, hi, d, x, _CUTOFFS[cutoff](), None)
+    sieve = tau_k_segment(k, max(1, lo - pad[0]), hi + pad[1])
+    assert np.array_equal(_segment_task(task), _segment_task(task, sieve))
+
+
+def test_streamed_class_sums_raise_rather_than_wrap(monkeypatch):
+    # With the sieve's bound lowered to 1000, the guard of an ordinary window
+    # trips (tau_3(1081080) = 8100) and raises through the streamed blocks,
+    # as a window whose values reach 2^62 would.
+    monkeypatch.setattr(arith, "_TAU_MAX", 1000)
+    task = (3, 10**6, 10**6 + 3 * variance._BLOCK, 97, 1.0, _CUTOFFS["sharp"](), None)
+    with pytest.raises(OverflowError, match="64-bit sieve range"):
+        _segment_task(task)
+
+
 @pytest.mark.parametrize("x", [1.3e6, 1300000.5, 1.5])
 @pytest.mark.parametrize("cutoff", CUTOFFS)
 def test_class_sums_sieve_every_entry_once(monkeypatch, cutoff, x):
     # Every summed entry goes through tau_k_segment, in ascending calls that
-    # tile [lo, hi) exactly, whatever the window and the call size: n <= X
+    # tile [lo, hi) exactly, whatever the window size: n <= X
     # for the sharp cutoff and X < n <= 2X for the smooth one, at integer
     # and half-integer X.
     calls = []
